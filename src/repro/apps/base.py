@@ -44,7 +44,8 @@ class RunResult:
     #: Simulated seconds excluding data transfers (Figures 8a/9a use
     #: kernel-only time for the read-memory benchmark).
     kernel_seconds: float
-    #: A scalar derived from the numerical output, for validation.
+    #: A scalar derived from the numerical output, for validation;
+    #: ``0.0`` for projection-mode runs (see :func:`make_result`).
     checksum: float
     counters: PerfCounters
     #: Whole-run energy (``repro.engine.energy``): static platform draw
@@ -110,9 +111,17 @@ def make_result(
     ctx: ExecutionContext,
     model: str,
     seconds: float,
-    checksum: float,
+    checksum: Callable[[], float],
 ) -> RunResult:
     """Assemble a :class:`RunResult` from a finished context.
+
+    ``checksum`` computes the validation scalar from the port's output
+    and is called only when ``ctx.execute_kernels`` is true.  A
+    projection-mode result carries a checksum of exactly ``0.0``: its
+    numerics were never computed (see
+    :class:`~repro.models.base.ExecutionContext`), and reducing the
+    untouched paper-scale output would be the most expensive step of
+    the run.
 
     Energy closes here: the counters carry the event-by-event dynamic
     energy (kernels, staging copies); the static platform draw is a
@@ -132,7 +141,7 @@ def make_result(
         precision=ctx.precision,
         seconds=seconds,
         kernel_seconds=ctx.counters.kernel_seconds,
-        checksum=float(checksum),
+        checksum=float(checksum()) if ctx.execute_kernels else 0.0,
         counters=ctx.counters,
         joules=joules,
     )

@@ -76,4 +76,4 @@ def run(ctx: ExecutionContext, config: CoMDConfig) -> RunResult:
     vel_view.synchronize()
     force_view.synchronize()
     pe_view.synchronize()
-    return make_result("CoMD", ctx, model_name, rt.simulated_seconds, state.checksum())
+    return make_result("CoMD", ctx, model_name, rt.simulated_seconds, lambda: state.checksum())

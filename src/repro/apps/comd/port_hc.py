@@ -65,4 +65,4 @@ def run(ctx: ExecutionContext, config: CoMDConfig) -> RunResult:
     hc.copy_to_host(state.velocities)
     hc.copy_to_host(state.forces)
     hc.copy_to_host(state.pe_per_atom)
-    return make_result("CoMD", ctx, model_name, hc.finish(), state.checksum())
+    return make_result("CoMD", ctx, model_name, hc.finish(), lambda: state.checksum())

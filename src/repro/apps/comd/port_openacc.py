@@ -74,4 +74,4 @@ def run(ctx: ExecutionContext, config: CoMDConfig) -> RunResult:
                 )
         if i + 1 < len(chunks):
             bin_atoms(state)
-    return make_result("CoMD", ctx, model_name, acc.simulated_seconds, state.checksum())
+    return make_result("CoMD", ctx, model_name, acc.simulated_seconds, lambda: state.checksum())

@@ -94,4 +94,4 @@ def run(ctx: ExecutionContext, config: CoMDConfig) -> RunResult:
     queue.enqueue_read_buffer(force_cl, state.forces)
     queue.enqueue_read_buffer(pe_cl, state.pe_per_atom)
     seconds = queue.finish()
-    return make_result("CoMD", ctx, model_name, seconds, state.checksum())
+    return make_result("CoMD", ctx, model_name, seconds, lambda: state.checksum())

@@ -49,4 +49,4 @@ def run(ctx: ExecutionContext, config: CoMDConfig) -> RunResult:
                              arrays=[state.velocities, state.forces], scalars=[0.5 * dt])
         if i + 1 < len(chunks):
             bin_atoms(state)
-    return make_result("CoMD", ctx, model_name, omp.simulated_seconds, state.checksum())
+    return make_result("CoMD", ctx, model_name, omp.simulated_seconds, lambda: state.checksum())

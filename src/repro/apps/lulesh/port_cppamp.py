@@ -61,4 +61,4 @@ def run(ctx: ExecutionContext, config: LuleshConfig) -> RunResult:
 
     for name in ("e", "v", "xd", "yd", "zd"):
         views[name].synchronize()
-    return make_result("LULESH", ctx, model_name, rt.simulated_seconds, state.checksum())
+    return make_result("LULESH", ctx, model_name, rt.simulated_seconds, lambda: state.checksum())

@@ -52,4 +52,4 @@ def run(ctx: ExecutionContext, config: LuleshConfig) -> RunResult:
             acc.update_host(state.dt_hydro_min)
             state.time += state.dt
             state.dt = next_dt(state.dt, state.dt_courant_min, state.dt_hydro_min)
-    return make_result("LULESH", ctx, model_name, acc.simulated_seconds, state.checksum())
+    return make_result("LULESH", ctx, model_name, acc.simulated_seconds, lambda: state.checksum())

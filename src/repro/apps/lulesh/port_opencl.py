@@ -71,4 +71,4 @@ def run(ctx: ExecutionContext, config: LuleshConfig) -> RunResult:
     for name in ("e", "v", "xd", "yd", "zd", "x", "y", "z", "p", "q"):
         queue.enqueue_read_buffer(buffers[name], arrays[name])
     seconds = queue.finish()
-    return make_result("LULESH", ctx, model_name, seconds, state.checksum())
+    return make_result("LULESH", ctx, model_name, seconds, lambda: state.checksum())

@@ -31,4 +31,4 @@ def run(ctx: ExecutionContext, config: LuleshConfig) -> RunResult:
                 check_qstop(state.q_max)
         state.time += state.dt
         state.dt = next_dt(state.dt, state.dt_courant_min, state.dt_hydro_min)
-    return make_result("LULESH", ctx, model_name, cpu.simulated_seconds, state.checksum())
+    return make_result("LULESH", ctx, model_name, cpu.simulated_seconds, lambda: state.checksum())

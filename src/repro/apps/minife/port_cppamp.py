@@ -77,4 +77,4 @@ def run(ctx: ExecutionContext, config: MiniFEConfig) -> RunResult:
         rr = rr_new
 
     x_view.synchronize()
-    return make_result("miniFE", ctx, model_name, rt.simulated_seconds, float(np.abs(x).sum()))
+    return make_result("miniFE", ctx, model_name, rt.simulated_seconds, lambda: float(np.abs(x).sum()))

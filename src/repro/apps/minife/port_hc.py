@@ -55,4 +55,4 @@ def run(ctx: ExecutionContext, config: MiniFEConfig) -> RunResult:
         rr = rr_new
 
     hc.copy_to_host(x)
-    return make_result("miniFE", ctx, model_name, hc.finish(), float(np.abs(x).sum()))
+    return make_result("miniFE", ctx, model_name, hc.finish(), lambda: float(np.abs(x).sum()))

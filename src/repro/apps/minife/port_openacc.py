@@ -71,4 +71,4 @@ def run(ctx: ExecutionContext, config: MiniFEConfig) -> RunResult:
             beta = rr_new / rr if rr else 0.0
             launch_waxpby(p, r, p, 1.0, beta)
             rr = rr_new
-    return make_result("miniFE", ctx, model_name, acc.simulated_seconds, float(np.abs(x).sum()))
+    return make_result("miniFE", ctx, model_name, acc.simulated_seconds, lambda: float(np.abs(x).sum()))

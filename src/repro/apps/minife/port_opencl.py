@@ -85,4 +85,4 @@ def run(ctx: ExecutionContext, config: MiniFEConfig) -> RunResult:
     # CopyClDataToHost(): the solution vector.
     queue.enqueue_read_buffer(x_cl, x)
     seconds = queue.finish()
-    return make_result("miniFE", ctx, model_name, seconds, float(np.abs(x).sum()))
+    return make_result("miniFE", ctx, model_name, seconds, lambda: float(np.abs(x).sum()))

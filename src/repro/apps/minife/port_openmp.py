@@ -47,4 +47,4 @@ def run(ctx: ExecutionContext, config: MiniFEConfig) -> RunResult:
         beta = rr_new / rr if rr else 0.0
         omp.parallel_for(waxpby, specs["minife.waxpby"], arrays=[p, r, p], scalars=[1.0, beta])
         rr = rr_new
-    return make_result("miniFE", ctx, model_name, omp.simulated_seconds, float(np.abs(x).sum()))
+    return make_result("miniFE", ctx, model_name, omp.simulated_seconds, lambda: float(np.abs(x).sum()))

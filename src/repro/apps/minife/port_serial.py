@@ -39,4 +39,4 @@ def run(ctx: ExecutionContext, config: MiniFEConfig) -> RunResult:
         beta = rr_new / rr if rr else 0.0
         cpu.run_loop(waxpby, specs["minife.waxpby"], arrays=[p, r, p], scalars=[1.0, beta])
         rr = rr_new
-    return make_result("miniFE", ctx, model_name, cpu.simulated_seconds, float(np.abs(x).sum()))
+    return make_result("miniFE", ctx, model_name, cpu.simulated_seconds, lambda: float(np.abs(x).sum()))

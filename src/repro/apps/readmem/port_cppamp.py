@@ -38,4 +38,4 @@ def run(ctx: ExecutionContext, config: ReadMemConfig) -> RunResult:
         writes=[out_view],
     )
     out_view.synchronize()
-    return make_result("read-benchmark", ctx, model_name, rt.simulated_seconds, out.sum())
+    return make_result("read-benchmark", ctx, model_name, rt.simulated_seconds, lambda: out.sum())

@@ -30,4 +30,4 @@ def run(ctx: ExecutionContext, config: ReadMemConfig) -> RunResult:
         scalars=[config.block_size],
     )
     hc.copy_to_host(out)
-    return make_result("read-benchmark", ctx, model_name, hc.simulated_seconds, out.sum())
+    return make_result("read-benchmark", ctx, model_name, hc.simulated_seconds, lambda: out.sum())

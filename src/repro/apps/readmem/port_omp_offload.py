@@ -33,4 +33,4 @@ def run(ctx: ExecutionContext, config: ReadMemConfig) -> RunResult:
         num_teams=config.size // config.block_size,
         thread_limit=config.block_size,
     )
-    return make_result("read-benchmark", ctx, model_name, omp.simulated_seconds, out.sum())
+    return make_result("read-benchmark", ctx, model_name, omp.simulated_seconds, lambda: out.sum())

@@ -32,4 +32,4 @@ def run(ctx: ExecutionContext, config: ReadMemConfig) -> RunResult:
         gang=config.size // config.block_size,
         vector=config.block_size,
     )
-    return make_result("read-benchmark", ctx, model_name, acc.simulated_seconds, out.sum())
+    return make_result("read-benchmark", ctx, model_name, acc.simulated_seconds, lambda: out.sum())

@@ -64,4 +64,4 @@ def run(ctx: ExecutionContext, config: ReadMemConfig) -> RunResult:
     # CopyClDataToHost().
     queue.enqueue_read_buffer(out_cl, out)
     seconds = queue.finish()
-    return make_result("read-benchmark", ctx, model_name, seconds, out.sum())
+    return make_result("read-benchmark", ctx, model_name, seconds, lambda: out.sum())

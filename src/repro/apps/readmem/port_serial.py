@@ -24,4 +24,4 @@ def run(ctx: ExecutionContext, config: ReadMemConfig) -> RunResult:
         arrays=[data, out],
         scalars=[config.block_size],
     )
-    return make_result("read-benchmark", ctx, model_name, cpu.simulated_seconds, out.sum())
+    return make_result("read-benchmark", ctx, model_name, cpu.simulated_seconds, lambda: out.sum())

@@ -54,4 +54,4 @@ def run(ctx: ExecutionContext, config: XSBenchConfig) -> RunResult:
             writes=[out_view],
         )
         out_view.synchronize()
-    return make_result("XSBench", ctx, model_name, rt.simulated_seconds, np.abs(macro).sum())
+    return make_result("XSBench", ctx, model_name, rt.simulated_seconds, lambda: np.abs(macro).sum())

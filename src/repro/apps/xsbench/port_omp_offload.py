@@ -49,4 +49,4 @@ def run(ctx: ExecutionContext, config: XSBenchConfig) -> RunResult:
                 num_teams=-(-len(e_chunk) // THREAD_LIMIT),
                 thread_limit=THREAD_LIMIT,
             )
-    return make_result("XSBench", ctx, model_name, omp.simulated_seconds, np.abs(macro).sum())
+    return make_result("XSBench", ctx, model_name, omp.simulated_seconds, lambda: np.abs(macro).sum())

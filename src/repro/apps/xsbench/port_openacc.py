@@ -48,4 +48,4 @@ def run(ctx: ExecutionContext, config: XSBenchConfig) -> RunResult:
                 gang=-(-len(e_chunk) // VECTOR_LENGTH),
                 vector=VECTOR_LENGTH,
             )
-    return make_result("XSBench", ctx, model_name, acc.simulated_seconds, np.abs(macro).sum())
+    return make_result("XSBench", ctx, model_name, acc.simulated_seconds, lambda: np.abs(macro).sum())

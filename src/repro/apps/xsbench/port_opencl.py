@@ -76,4 +76,4 @@ def run(ctx: ExecutionContext, config: XSBenchConfig) -> RunResult:
         queue.enqueue_read_buffer(out_cl, out_chunk)
 
     seconds = queue.finish()
-    return make_result("XSBench", ctx, model_name, seconds, np.abs(macro).sum())
+    return make_result("XSBench", ctx, model_name, seconds, lambda: np.abs(macro).sum())

@@ -30,4 +30,4 @@ def run(ctx: ExecutionContext, config: XSBenchConfig) -> RunResult:
                 data.union_index, data.material_nuclides, data.material_density,
                 data.material_n, data.nuclide_energy, data.nuclide_xs, macro],
     )
-    return make_result("XSBench", ctx, model_name, omp.simulated_seconds, np.abs(macro).sum())
+    return make_result("XSBench", ctx, model_name, omp.simulated_seconds, lambda: np.abs(macro).sum())

@@ -16,8 +16,46 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import TypeVar
+
+T = TypeVar("T")
+
+_HASH = "_field_hash"
 
 
+def hash_once(cls: type[T]) -> type[T]:
+    """Memoize a frozen dataclass's field-tuple hash per instance.
+
+    These value objects nest (a lowering holds a spec, which holds op
+    counts and an access pattern) and key the hot dicts of capture and
+    pricing, so the generated ``__hash__`` would re-walk every field on
+    every lookup.  The first hash is kept in the instance ``__dict__``,
+    the per-instance pattern of ``RunSpec.content_key``; equality is
+    untouched.  ``str`` hashes are salted per process, so the cached
+    value is left out of the pickled (and copied) state: an object
+    loaded in a pool worker or from the result store rehashes there.
+    """
+    if not cls.__dataclass_params__.frozen:  # type: ignore[attr-defined]
+        raise TypeError(f"hash_once needs a frozen dataclass, got {cls.__name__}")
+    field_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        cached = self.__dict__.get(_HASH)
+        if cached is None:
+            cached = self.__dict__[_HASH] = field_hash(self)
+        return cached
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop(_HASH, None)
+        return state
+
+    cls.__hash__ = __hash__  # type: ignore[method-assign]
+    cls.__getstate__ = __getstate__  # type: ignore[attr-defined]
+    return cls
+
+
+@hash_once
 @dataclass(frozen=True)
 class OpCount:
     """Dynamic operation counts for one kernel launch.
@@ -74,6 +112,7 @@ class AccessKind(Enum):
     CSR_SPMV = "csr-spmv"  # streamed matrix + gathered vector (miniFE)
 
 
+@hash_once
 @dataclass(frozen=True)
 class AccessPattern:
     """Parametric description of a kernel's memory behaviour.
@@ -148,6 +187,7 @@ class AccessPattern:
         raise AssertionError(f"unhandled access kind {self.kind}")
 
 
+@hash_once
 @dataclass(frozen=True)
 class KernelSpec:
     """One kernel as written by an expert (all optimizations available).
@@ -200,6 +240,7 @@ class KernelSpec:
         return per_item * self.work_items
 
 
+@hash_once
 @dataclass(frozen=True)
 class LoweredKernel:
     """A kernel after a programming model's compiler lowered it.

@@ -379,10 +379,11 @@ _STUB_STATE = threading.local()
 #: reference** (no deep copies): stubs are only served in projection
 #: capture, where kernel bodies never run, so a port either leaves the
 #: state bitwise intact (CoMD's rebins recompute identical tables) or
-#: mutates only host scalars no schedule or checksum reads (LULESH's
-#: ``dt``/``time``).  Bounded LRU; cleared by :func:`clear_caches` and
-#: bypassed whenever :data:`SETUP_CACHE` is disabled (``use_cache=False``
-#: must recompute everything).
+#: mutates only host scalars the schedule never reads (LULESH's
+#: ``dt``/``time``).  No checksum reads them either: ``make_result``
+#: never evaluates one in projection mode.  Bounded LRU; cleared by
+#: :func:`clear_caches` and bypassed whenever :data:`SETUP_CACHE` is
+#: disabled (``use_cache=False`` must recompute everything).
 _STUB_CACHE: "OrderedDict[tuple, object]" = OrderedDict()
 _STUB_CACHE_MAX = 8
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from ..engine import energy
 from ..engine.counters import PerfCounters
-from ..engine.kernel import KernelSpec, LoweredKernel
+from ..engine.kernel import KernelSpec, LoweredKernel, hash_once
 from ..engine.launch import RuntimeOverheads
 from ..engine.memo import cached_time_cpu_kernel, cached_time_gpu_kernel
 from ..hardware.device import Platform
@@ -75,6 +75,7 @@ class TransferPolicy(enum.Enum):
     DATA_REGION = "data-region"
 
 
+@hash_once
 @dataclass(frozen=True)
 class CompilerProfile:
     """Code-generation quality and feature set of one toolchain."""
@@ -183,6 +184,9 @@ class ExecutionContext:
     864k atoms, XSBench's 240 MB table) that would be impractically
     slow to execute functionally; numerical results are garbage in this
     mode and correctness is validated separately at functional sizes.
+    A projection-mode :class:`~repro.apps.base.RunResult` therefore
+    reports ``checksum == 0.0``: ``make_result`` never evaluates the
+    port's checksum in this mode.
     """
 
     platform: Platform
@@ -227,7 +231,9 @@ class ChargeLog:
         self.events: list[tuple[int, float, int, bool]] = []
         self._atom_index: dict[tuple, int] = {}
         self._xfer_index: dict[tuple[int, str], int] = {}
-        self._lower_memo: dict[tuple, LoweredKernel] = {}
+        #: ``(profile, spec, retargeted)`` -> atom index: a repeated
+        #: launch skips lowering and the atom-table lookup.
+        self._lowered_atom: dict[tuple, int] = {}
 
     def gpu_kernel(
         self,
@@ -239,15 +245,15 @@ class ChargeLog:
     ) -> float:
         retargeted = toolchain.profile.retarget_penalty > 0 and ctx.platform.is_apu
         memo_key = (toolchain.profile, spec, retargeted)
-        lowered = self._lower_memo.get(memo_key)
-        if lowered is None:
-            lowered = toolchain.profile.lower(spec, retargeted=retargeted)
-            self._lower_memo[memo_key] = lowered
-        key = ("gpu", lowered.cache_key())
-        index = self._atom_index.get(key)
+        index = self._lowered_atom.get(memo_key)
         if index is None:
-            index = self._atom_index[key] = len(self.atoms)
-            self.atoms.append(("gpu", lowered))
+            lowered = toolchain.profile.lower(spec, retargeted=retargeted)
+            key = ("gpu", lowered.cache_key())
+            index = self._atom_index.get(key)
+            if index is None:
+                index = self._atom_index[key] = len(self.atoms)
+                self.atoms.append(("gpu", lowered))
+            self._lowered_atom[memo_key] = index
         overhead = toolchain.overheads.launch_cost(n_buffers, mapped_bytes)
         self.events.append((index, overhead, -1, True))
         return 0.0

@@ -40,6 +40,7 @@ from ..core.configs import bench_configs, sweep_configs
 from ..core.metrics import speedup
 from ..core.study import BASELINE_MODEL, GPU_MODELS
 from ..exec.plan import APU, DGPU, PLATFORMS, RunSpec, study_runs
+from ..hardware.device import platform_for
 from ..hardware.specs import Precision
 from ..models.registry import normalize_model_name
 
@@ -194,12 +195,29 @@ def _parse_scale(value: object) -> str:
     )
 
 
-def _parse_clock(doc: Mapping, field: str) -> float | None:
+@lru_cache(maxsize=None)
+def _clock_range(platform: str, field: str) -> tuple[str, float, float]:
+    """``(domain name, min MHz, max MHz)`` of one of a platform's GPU
+    clocks, read from the device's :class:`ClockDomain`."""
+    gpu = platform_for(platform).gpu
+    domain = gpu.core_clock if field == "core_mhz" else gpu.memory_clock
+    return domain.name, domain.min_mhz, domain.max_mhz
+
+
+def _parse_clock(doc: Mapping, field: str, platform: str) -> float | None:
     value = doc.get(field)
     if value is None:
         return None
     if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
         raise ProtocolError(f"field {field!r} must be a positive frequency in MHz")
+    # Out of range here, the engine's ClockDomain.set would raise
+    # FrequencyError deep inside pricing; reject it as a client error.
+    name, low, high = _clock_range(platform, field)
+    if not low <= value <= high:
+        raise ProtocolError(
+            f"field {field!r}: {value:g} MHz is outside the {platform} {name} "
+            f"clock's legal range [{low:g}, {high:g}] MHz"
+        )
     return float(value)
 
 
@@ -260,14 +278,16 @@ class PredictRequest:
         if not isinstance(doc, Mapping):
             raise ProtocolError("request body must be a JSON object")
         app = _parse_app(_require(doc, "app"))
+        model = _parse_model(app, _require(doc, "model"))
+        platform = _parse_platform(_require(doc, "platform"))
         return cls(
             app=app,
-            model=_parse_model(app, _require(doc, "model")),
-            platform=_parse_platform(_require(doc, "platform")),
+            model=model,
+            platform=platform,
             precision=_parse_precision(_require(doc, "precision")),
             scale=_parse_scale(doc.get("scale", "bench")),
-            core_mhz=_parse_clock(doc, "core_mhz"),
-            memory_mhz=_parse_clock(doc, "memory_mhz"),
+            core_mhz=_parse_clock(doc, "core_mhz", platform),
+            memory_mhz=_parse_clock(doc, "memory_mhz", platform),
         )
 
     def to_json(self) -> dict:

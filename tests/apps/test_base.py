@@ -3,9 +3,14 @@
 import pytest
 
 from repro.apps import ALL_APPS, APPS_BY_NAME, PROXY_APPS
-from repro.apps.base import ProxyApp
+from repro.apps.base import ProxyApp, make_result
+from repro.core.configs import sweep_configs
+from repro.engine import memo
+from repro.exec.executor import execute_with_engine
+from repro.exec.plan import DGPU, RunSpec
 from repro.hardware.device import make_apu_platform
 from repro.hardware.specs import Precision
+from repro.models.base import ExecutionContext
 
 
 class TestRegistry:
@@ -64,3 +69,52 @@ class TestRun:
         assert result.model == "OpenMP"
         assert result.seconds > 0
         assert result.kernel_seconds <= result.seconds
+
+
+class TestChecksumContract:
+    """``make_result`` evaluates a port's checksum only when kernels ran;
+    projection-mode results carry a defined ``0.0``."""
+
+    @staticmethod
+    def spy():
+        calls = []
+
+        def checksum():
+            calls.append(None)
+            return 42.5
+
+        return checksum, calls
+
+    @pytest.mark.parametrize("execute_kernels", [True, False])
+    def test_checksum_evaluated_only_when_kernels_run(self, execute_kernels):
+        ctx = ExecutionContext(
+            platform=make_apu_platform(),
+            precision=Precision.SINGLE,
+            execute_kernels=execute_kernels,
+        )
+        checksum, calls = self.spy()
+        result = make_result("read-benchmark", ctx, "OpenMP", 1.0, checksum)
+        if execute_kernels:
+            assert len(calls) == 1
+            assert result.checksum == 42.5
+        else:
+            assert calls == []
+            assert result.checksum == 0.0
+
+    @pytest.mark.parametrize("engine", ["scalar", "vector"])
+    def test_every_projection_port_reports_zero(self, engine):
+        runs = [
+            RunSpec(app.name, model, DGPU, Precision.SINGLE,
+                    sweep_configs()[app.name], projection=True)
+            for app in ALL_APPS
+            for model in app.ports
+        ]
+        memo.clear_caches()
+        try:
+            outcomes, stats = execute_with_engine(engine, runs)
+        finally:
+            memo.clear_caches()
+        assert not stats.failures
+        checksums = {outcome.spec.label: outcome.result.checksum for outcome in outcomes}
+        assert len(checksums) == len(runs) == 35
+        assert set(checksums.values()) == {0.0}, checksums

@@ -39,6 +39,10 @@ class TestRunSpec:
     def test_label_includes_clock_overrides(self):
         assert "@800/1375MHz" in spec(core_mhz=800.0, memory_mhz=1375.0).label
 
+    def test_label_renders_an_unset_clock_domain(self):
+        assert "@900/-MHz" in spec(core_mhz=900.0).label
+        assert "@-/1250MHz" in spec(memory_mhz=1250.0).label
+
     def test_content_key_is_content_not_identity(self):
         # Distinct but equal-content config objects collide by design.
         other = spec(config=ReadMemConfig(size=1024))

@@ -86,6 +86,33 @@ def test_malformed_cell_error_names_its_index(server):
     assert "cells[1]" in doc["error"]["message"]
 
 
+def test_out_of_range_clocks_answer_400_and_the_server_keeps_serving(server):
+    """An illegal clock is a client error named with the device's legal
+    range, on ``/v1/predict`` and on each ``/v1/batch`` cell — and the
+    connection is answered, so the next valid request is served."""
+    status, _headers, doc = request(
+        server, "POST", "/v1/predict", {**_cell("OpenCL"), "core_mhz": 5000}
+    )
+    assert status == 400
+    assert "legal range [200, 1050] MHz" in doc["error"]["message"]
+
+    # Only one domain overridden: the case that used to drop the
+    # connection from the scalar fallback's label.
+    cells = [_cell("OpenCL"), {**_cell("OpenACC"), "memory_mhz": 9000}]
+    status, _headers, doc = request(server, "POST", "/v1/batch", {"cells": cells})
+    assert status == 400
+    message = doc["error"]["message"]
+    assert message.startswith("cells[1]:")
+    assert "memory clock's legal range [480, 1500] MHz" in message
+
+    status, _headers, doc = request(
+        server, "POST", "/v1/batch", {"cells": [{**_cell("OpenCL"), "core_mhz": 900}]}
+    )
+    assert status == 200 and doc["count"] == 1
+    status, _headers, _doc = request(server, "POST", "/v1/predict", _cell("OpenCL"))
+    assert status == 200
+
+
 def test_empty_and_non_array_cells_are_rejected(server):
     for body in ({"cells": []}, {"cells": "OpenCL"}, {}, [1, 2]):
         status, _headers, doc = request(server, "POST", "/v1/batch", body)

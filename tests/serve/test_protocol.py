@@ -36,6 +36,9 @@ def test_predict_parses_and_normalizes_case():
     ({"core_mhz": -1}, "positive frequency"),
     ({"core_mhz": True}, "positive frequency"),
     ({"app": None}, "missing required field"),
+    ({"core_mhz": 5000}, r"'core_mhz': 5000 MHz is outside the apu core clock's "
+                         r"legal range \[200, 720\] MHz"),
+    ({"memory_mhz": 100}, r"outside the apu memory clock's legal range \[333, 1066\]"),
 ])
 def test_predict_rejects_bad_fields(mutation, message):
     doc = {**PREDICT_DOC, **mutation}
