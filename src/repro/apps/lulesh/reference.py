@@ -8,14 +8,21 @@ every port.  The host-side time-step control (`advance_dt`,
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from ...engine.memo import memoized_setup, projection_stub
 from ...hardware.specs import Precision
 from .kernels import SCHEDULE
 from .physics import (
+    CFL,
+    DT_COURANT_SCALE,
     DT_MAX_SCALE,
+    E_ZERO,
+    GAMMA,
     QSTOP,
+    RHO_REF,
     LuleshConfig,
     LuleshState,
     QStopError,
@@ -49,10 +56,40 @@ def make_state(config: LuleshConfig, precision: Precision) -> LuleshState:
 
 @projection_stub(make_state)
 def _projection_state(config: LuleshConfig, precision: Precision) -> LuleshState:
-    """Schedule-capture build: a fresh real state, skipping the setup
-    cache (initialisation is cheaper than the LRU's deep copies, and
-    capture must not pollute — or be polluted by — cached state)."""
-    return make_state.__wrapped__(config, precision)
+    """Shape-faithful stand-in for schedule capture.
+
+    Every mesh array is zero-filled with the shape and dtype
+    :class:`LuleshState` would give it: the ports' schedules read only
+    buffer sizes and the host scalars.  ``dt`` is the builder's initial
+    Courant step, computed from the same constants in the same dtype;
+    the reduction scalars the host loop reads back stay zero, which
+    ``check_qstop`` passes and ``next_dt`` treats exactly like the
+    builder's ``inf`` (the step grows by ``DT_MAX_SCALE``).
+    """
+    dtype = np.dtype(np.float32 if precision is Precision.SINGLE else np.float64)
+    s = config.size
+    n = s + 1
+    nodal = ("x", "y", "z", "xd", "yd", "zd", "xdd", "ydd", "zdd", "fx", "fy", "fz", "nodal_mass")
+    shapes = dict.fromkeys(nodal, (n, n, n))
+    shapes.update(
+        face_normals=(6, 3, s, s, s),
+        vel_mean=(3, s, s, s),
+        vel_grad=(3, s, s, s),
+        dt_courant_min=(1,),
+        dt_hydro_min=(1,),
+        q_max=(1,),
+    )
+    state = object.__new__(LuleshState)
+    state.config = config
+    state.dtype = dtype
+    for f in dataclasses.fields(LuleshState):
+        if not f.init:  # the mesh arrays __post_init__ would build
+            setattr(state, f.name, np.zeros(shapes.get(f.name, (s, s, s)), dtype=dtype))
+    state.time = 0.0
+    initial_pressure = (GAMMA - 1.0) * RHO_REF * E_ZERO
+    hot_ss = dtype.type(np.sqrt(GAMMA * initial_pressure / RHO_REF))
+    state.dt = float(CFL * config.spacing / hot_ss * DT_COURANT_SCALE)
+    return state
 
 
 def run_iteration(state: LuleshState) -> None:

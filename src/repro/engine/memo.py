@@ -366,8 +366,8 @@ SETUP_CACHE = SetupMemoCache()
 
 
 #: Registered projection stubs: (builder module, builder qualname) ->
-#: a cheap builder producing state with the real shapes/dtypes but no
-#: data.  Used only inside :func:`projection_stubs` blocks.
+#: a cheap builder producing state with the real shapes/dtypes but
+#: zero-filled data.  Used only inside :func:`projection_stubs` blocks.
 PROJECTION_STUBS: dict[tuple[str, str], Callable[..., object]] = {}
 
 _STUB_STATE = threading.local()
@@ -377,13 +377,15 @@ _STUB_STATE = threading.local()
 #: only on (config, precision): without sharing, capturing a whole
 #: study rebuilds the same stub state ~20 times per app.  Shared **by
 #: reference** (no deep copies): stubs are only served in projection
-#: capture, where kernel bodies never run, so a port either leaves the
-#: state bitwise intact (CoMD's rebins recompute identical tables) or
-#: mutates only host scalars the schedule never reads (LULESH's
-#: ``dt``/``time``).  No checksum reads them either: ``make_result``
-#: never evaluates one in projection mode.  Bounded LRU; cleared by
-#: :func:`clear_caches` and bypassed whenever :data:`SETUP_CACHE` is
-#: disabled (``use_cache=False`` must recompute everything).
+#: capture, where kernel bodies never run and no data moves, so a port
+#: either leaves the zero-filled arrays untouched (CoMD's epoch rebins
+#: take ``bin_atoms``' identity early-out on the stub's aliased
+#: positions) or mutates only host scalars the schedule never reads
+#: (LULESH's ``dt``/``time``).  No checksum reads them either:
+#: ``make_result`` never evaluates one in projection mode.  Bounded
+#: LRU; cleared by :func:`clear_caches` and bypassed whenever
+#: :data:`SETUP_CACHE` is disabled (``use_cache=False`` must recompute
+#: everything).
 _STUB_CACHE: "OrderedDict[tuple, object]" = OrderedDict()
 _STUB_CACHE_MAX = 8
 
@@ -396,7 +398,10 @@ def projection_stub(builder: Callable[..., T]) -> Callable[[Callable[..., T]], C
     must reproduce every array shape and dtype the port's schedule
     depends on — kernel specs, buffer sizes and loop trip counts are
     all shape-derived in projection mode, where kernel bodies never
-    execute — but may leave the data itself zeroed.
+    execute — plus any host scalar the port reads.  Its arrays are
+    zero-filled, and it never calls the real builder: a shape that
+    depends on the data (CoMD's cell occupancy) is derived without
+    building the data.
     """
 
     def register(stub: Callable[..., T]) -> Callable[..., T]:

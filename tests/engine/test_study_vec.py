@@ -7,10 +7,11 @@ record — with ``==``, no tolerance.  These tests run the full study
 matrix (including the Serial and Heterogeneous Compute cells the
 columnar engine must delegate) through both engines from cold caches
 and compare everything observable, then probe the seams: quarantine
-holes, clock-override sweeps, the batched pricers, capture memoization
-and the projection-stub cache.
+holes, clock-override sweeps, the batched pricers, capture memoization,
+the projection-stub cache and the shape-only stubs themselves.
 """
 
+import dataclasses
 import random
 
 import numpy as np
@@ -30,7 +31,7 @@ from repro.engine.study_vec import (
 from repro.engine.timing import time_cpu_kernel, time_gpu_kernel
 from repro.engine.timing_vec import time_cpu_kernel_batch, time_gpu_kernel_batch
 from repro.exec.executor import execute, execute_with_engine
-from repro.exec.plan import DGPU, RunSpec, study_runs, sweep_runs
+from repro.exec.plan import DGPU, PLATFORMS, RunSpec, study_runs, sweep_runs
 from repro.exec.retry import RetryPolicy
 from repro.hardware.device import make_platform
 from repro.hardware.specs import Precision
@@ -355,6 +356,130 @@ def test_comd_rebin_early_out_is_bit_identical():
     bin_atoms(state)
     assert np.array_equal(state.cell_atoms, table)
     assert np.array_equal(state.cell_count, counts)
+
+
+def test_comd_rebin_aliasing_fast_path(monkeypatch):
+    """Aliased ``rebin_positions`` (the projection stub's layout) skips
+    the position comparison and keeps the table the builder's binning
+    made; the real builder never aliases, so functional runs always
+    compare."""
+    from repro.apps.comd import reference
+    from repro.apps.comd.reference import _projection_state, bin_atoms, make_state
+
+    config = sweep_configs()["CoMD"]
+    state = make_state.__wrapped__(config, Precision.DOUBLE)
+    assert state.rebin_positions is not state.positions
+    table, counts = state.cell_atoms, state.cell_count
+    state.rebin_positions = state.positions
+
+    def no_compare(*args, **kwargs):
+        raise AssertionError("aliased positions must not be compared")
+
+    monkeypatch.setattr(reference.np, "array_equal", no_compare)
+    bin_atoms(state)
+    assert state.cell_atoms is table and state.cell_count is counts
+    stub = _projection_state(config, Precision.DOUBLE)
+    stub_table = stub.cell_atoms
+    bin_atoms(stub)
+    assert stub.cell_atoms is stub_table
+    monkeypatch.undo()
+    # The kept table is the one a full rebuild produces.
+    state.rebin_positions = state.positions + 1.0
+    bin_atoms(state)
+    assert np.array_equal(state.cell_atoms, table)
+    assert np.array_equal(state.cell_count, counts)
+
+
+COMD_STUB_CONFIGS = (
+    "sweep",
+    "paper",  # double precision: occupancies 13..63 from boundary rounding
+    (14, 22, 36),  # non-cubic
+    (26, 6, 8),  # small, non-uniform in double precision (24..40)
+)
+
+
+@pytest.mark.parametrize("which", COMD_STUB_CONFIGS, ids=str)
+@pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.name)
+def test_comd_stub_matches_builder_shapes(which, precision):
+    """The shape-only CoMD stub reproduces every array shape and dtype
+    of the real build, including the rounding-dependent padded width
+    of the link-cell table, and derives it without building atoms."""
+    from repro.apps.comd.reference import (
+        CoMDConfig,
+        _projection_state,
+        cell_occupancy,
+        make_state,
+        paper_config,
+    )
+
+    if which == "sweep":
+        config = sweep_configs()["CoMD"]
+    elif which == "paper":
+        config = paper_config()
+    else:
+        config = CoMDConfig(*which)
+    real = make_state.__wrapped__(config, precision)
+    stub = _projection_state(config, precision)
+    for field in dataclasses.fields(real):
+        if field.name == "config":
+            continue
+        left, right = getattr(real, field.name), getattr(stub, field.name)
+        assert (left.shape, left.dtype) == (right.shape, right.dtype), field.name
+        assert not right.any(), field.name
+    assert np.array_equal(cell_occupancy(config, precision), real.cell_count)
+    assert stub.rebin_positions is stub.positions
+    if which == "paper":
+        expected = 63 if precision is Precision.DOUBLE else 32
+        assert stub.cell_atoms.shape[1] == expected
+
+
+@pytest.mark.parametrize("size", (2, 7, 16, 100))
+@pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.name)
+def test_lulesh_stub_matches_builder(size, precision):
+    """The shape-only LULESH stub has the builder's arrays (shapes,
+    dtypes) and host scalars, the initial ``dt`` bit for bit."""
+    from repro.apps.lulesh.physics import LuleshConfig
+    from repro.apps.lulesh.reference import _projection_state, make_state
+
+    config = LuleshConfig(size=size, iterations=1)
+    real = make_state.__wrapped__(config, precision)
+    stub = _projection_state(config, precision)
+    assert vars(real).keys() == vars(stub).keys()
+    for name, array in real.arrays().items():
+        right = stub.arrays()[name]
+        assert (array.shape, array.dtype) == (right.shape, right.dtype), name
+        assert not right.any(), name
+    assert (stub.dtype, stub.time, stub.dt) == (real.dtype, real.time, real.dt)
+
+
+@pytest.mark.parametrize("app_name", [app.name for app in ALL_APPS])
+def test_stub_capture_equals_real_build_capture(app_name, monkeypatch):
+    """Shape-only stubs capture exactly the schedule a real problem
+    build does: every vector model, platform and precision at sweep
+    scale, compared field by field (atoms, transfers, byte totals and
+    every event array)."""
+    config = sweep_configs()[app_name]
+    specs = [
+        RunSpec(app_name, model, platform, precision, config)
+        for model in sorted(VECTOR_MODELS)
+        for platform in PLATFORMS
+        for precision in Precision
+    ]
+    memo.clear_caches()
+    stubbed = [capture_program(spec) for spec in specs]
+    memo.clear_caches()
+    monkeypatch.setattr(memo, "PROJECTION_STUBS", {})
+    real = [capture_program(spec) for spec in specs]
+    memo.clear_caches()
+    for spec, left, right in zip(specs, stubbed, real):
+        for field in dataclasses.fields(right):
+            name = field.name
+            value, other = getattr(right, name), getattr(left, name)
+            if isinstance(value, np.ndarray):
+                assert other.dtype == value.dtype, (spec.label, name)
+                assert np.array_equal(other, value), (spec.label, name)
+            else:
+                assert other == value, (spec.label, name)
 
 
 def test_execute_with_engine_rejects_unknown_engine():
