@@ -85,6 +85,19 @@ class ProxyApp:
     #: Build the paper-sized configuration (Table I command lines).
     paper_config: Callable[[], object]
     ports: dict[str, Port] = field(default_factory=dict)
+    #: The config field counting the passes of the port's main loop, or
+    #: ``None``.  Declaring it is a contract on every port: in
+    #: projection mode, each pass after the first issues the identical
+    #: charge sequence, and no projection stub's output depends on the
+    #: count.  Schedule capture
+    #: (:func:`repro.engine.study_vec.capture_program`) then records the
+    #: port at counts 1 and 3 and splices the repeated pass to full
+    #: length instead of recording every pass.  CoMD is the
+    #: counterexample that must not declare ``steps``: it rebins atoms
+    #: every ``REBIN_INTERVAL`` (20) steps, so passes differ by epoch,
+    #: yet 1- and 3-step captures both fit inside one epoch and would
+    #: look periodic to the splice's check.
+    loop_field: str | None = None
 
     def run(
         self,

@@ -37,6 +37,7 @@ APP = ProxyApp(
         port_omp_offload.model_name: port_omp_offload.run,
         port_hc.model_name: port_hc.run,
     },
+    loop_field="iterations",
 )
 
 __all__ = [

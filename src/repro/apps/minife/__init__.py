@@ -42,6 +42,7 @@ APP = ProxyApp(
         port_omp_offload.model_name: port_omp_offload.run,
         port_hc.model_name: port_hc.run,
     },
+    loop_field="cg_iterations",
 )
 
 __all__ = [

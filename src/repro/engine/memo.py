@@ -27,7 +27,7 @@ import threading
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable, Iterator, TypeVar
 
 from ..hardware.device import CPUDevice, GPUDevice
@@ -375,13 +375,21 @@ _STUB_STATE = threading.local()
 #: Cross-capture memo for stub builds.  One schedule capture exists per
 #: (app, model, platform, precision) cell, but the stub build depends
 #: only on (config, precision): without sharing, capturing a whole
-#: study rebuilds the same stub state ~20 times per app.  Shared **by
-#: reference** (no deep copies): stubs are only served in projection
-#: capture, where kernel bodies never run and no data moves, so a port
-#: either leaves the zero-filled arrays untouched (CoMD's epoch rebins
-#: take ``bin_atoms``' identity early-out on the stub's aliased
-#: positions) or mutates only host scalars the schedule never reads
-#: (LULESH's ``dt``/``time``).  No checksum reads them either:
+#: study rebuilds the same stub state ~20 times per app.  Even with
+#: every stub shape-only this memo pays for itself: each rebuild is a
+#: fresh set of problem-sized allocations.  Keying the loop-compressed
+#: captures' short runs apart from the full config (so they evict each
+#: other from this 8-entry LRU) took the paper-scale study's peak RSS
+#: from 108 MB to 627 MB and doubled its CPU time (2-CPU container);
+#: inside a ``projection_stubs(loop_field=...)`` block the key
+#: therefore ignores the app's declared loop count, which no stub's
+#: output depends on.
+#: Shared **by reference** (no deep copies): stubs are only served in
+#: projection capture, where kernel bodies never run and no data moves,
+#: so a port either leaves the zero-filled arrays untouched (CoMD's
+#: epoch rebins take ``bin_atoms``' identity early-out on the stub's
+#: aliased positions) or mutates only host scalars the schedule never
+#: reads (LULESH's ``dt``/``time``).  No checksum reads them either:
 #: ``make_result`` never evaluates one in projection mode.  Bounded
 #: LRU; cleared by :func:`clear_caches` and bypassed whenever
 #: :data:`SETUP_CACHE` is disabled (``use_cache=False`` must recompute
@@ -412,18 +420,47 @@ def projection_stub(builder: Callable[..., T]) -> Callable[[Callable[..., T]], C
 
 
 @contextmanager
-def projection_stubs() -> Iterator[None]:
+def projection_stubs(loop_field: str | None = None) -> Iterator[None]:
     """Serve registered stubs instead of real problem builds.
 
     Only meaningful for projection-mode schedule capture: functional
-    runs read the data and must never see stubs.
+    runs read the data and must never see stubs.  ``loop_field`` names
+    a config field the stub-cache key ignores for the block (the app's
+    :attr:`~repro.apps.base.ProxyApp.loop_field`), so captures of one
+    problem at different loop counts share one stub.
     """
-    previous = getattr(_STUB_STATE, "active", False)
+    previous = (
+        getattr(_STUB_STATE, "active", False),
+        getattr(_STUB_STATE, "loop_field", None),
+    )
     _STUB_STATE.active = True
+    _STUB_STATE.loop_field = loop_field
     try:
         yield
     finally:
-        _STUB_STATE.active = previous
+        _STUB_STATE.active, _STUB_STATE.loop_field = previous
+
+
+def _stub_key(builder: Callable[..., object], args: tuple, kwargs: dict) -> tuple:
+    """The :data:`_STUB_CACHE` key: the builder plus its arguments, with
+    the active loop field dropped from any config dataclass carrying it."""
+    ignored = getattr(_STUB_STATE, "loop_field", None)
+    if ignored is not None:
+        args = tuple(
+            (
+                type(arg).__qualname__,
+                [(f.name, getattr(arg, f.name)) for f in fields(arg) if f.name != ignored],
+            )
+            if is_dataclass(arg) and hasattr(arg, ignored)
+            else arg
+            for arg in args
+        )
+    return (
+        builder.__module__,
+        builder.__qualname__,
+        repr(args),
+        repr(sorted(kwargs.items())),
+    )
 
 
 def memoized_setup(builder: Callable[..., T]) -> Callable[..., T]:
@@ -441,12 +478,7 @@ def memoized_setup(builder: Callable[..., T]) -> Callable[..., T]:
             if stub is not None:
                 if not SETUP_CACHE.enabled:
                     return stub(*args, **kwargs)
-                key = (
-                    builder.__module__,
-                    builder.__qualname__,
-                    repr(args),
-                    repr(sorted(kwargs.items())),
-                )
+                key = _stub_key(builder, args, kwargs)
                 if key in _STUB_CACHE:
                     _STUB_CACHE.move_to_end(key)
                     return _STUB_CACHE[key]  # type: ignore[return-value]

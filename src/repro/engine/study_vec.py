@@ -14,8 +14,12 @@ This engine lowers the matrix instead of looping it:
    in capture mode: a :class:`~repro.models.base.ChargeLog` on the
    context turns every ``charge_*`` call into an event append over a
    deduplicated atom table.  Problem setups are served by registered
-   projection stubs (shape-faithful, no data, no deep copies).  The
-   captured :class:`ChargeProgram` is clock-independent and memoized in
+   projection stubs (shape-faithful, no data, no deep copies).  Apps
+   whose main loop repeats one charge sequence (LULESH, miniFE) are
+   instead recorded at loop counts 1 and 3, and the repeated pass is
+   spliced to full length: capture cost follows one loop body, not
+   the trip count.  The captured :class:`ChargeProgram` is
+   clock-independent and memoized in
    :data:`~repro.engine.memo.PLAN_CACHE`, so an entire frequency sweep
    shares one capture.
 2. **Batch pricing** — per cell, the atoms missing from
@@ -45,7 +49,7 @@ the package root would create an import cycle.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -120,17 +124,26 @@ class ChargeProgram:
     bytes_to_host: int
 
 
-def capture_program(spec: RunSpec) -> ChargeProgram:
-    """Run ``spec``'s port once in capture mode and lift its schedule.
+#: The four parallel event columns of a capture, in ``ChargeLog.events``
+#: tuple order: atom index, overhead, transfer index, counted.
+Columns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
-    The capture platform uses default clocks — legitimate because the
-    schedule is clock-independent — and projection stubs serve the
-    problem setups, so capture cost is the port's host logic only.
-    """
+
+@dataclass(frozen=True)
+class Recording:
+    """One port run in capture mode: its tables and event columns."""
+
+    checksum: float
+    atoms: tuple[tuple, ...]
+    transfers: tuple[tuple[int, str], ...]
+    columns: Columns
+
+
+def _record(spec: RunSpec, config: object) -> Recording:
+    """Run ``spec``'s port on ``config`` once, recording its charges."""
     from ..apps import APPS_BY_NAME
     from ..hardware.device import platform_for
 
-    app = APPS_BY_NAME[spec.app]
     log = ChargeLog()
     ctx = ExecutionContext(
         platform=platform_for(spec.platform),
@@ -138,40 +151,124 @@ def capture_program(spec: RunSpec) -> ChargeProgram:
         execute_kernels=False,
         charge_log=log,
     )
-    with memo.projection_stubs():
-        result = app.ports[spec.model](ctx, spec.config)
-
+    result = APPS_BY_NAME[spec.app].ports[spec.model](ctx, config)
     events = log.events
     n_events = len(events)
-    ev_atom = np.fromiter((e[0] for e in events), dtype=np.int64, count=n_events)
-    ev_overhead = np.fromiter((e[1] for e in events), dtype=np.float64, count=n_events)
-    ev_xfer = np.fromiter((e[2] for e in events), dtype=np.int64, count=n_events)
-    ev_counted = np.fromiter((e[3] for e in events), dtype=bool, count=n_events)
+    return Recording(
+        checksum=result.checksum,
+        atoms=tuple(log.atoms),
+        transfers=tuple(log.transfers),
+        columns=(
+            np.fromiter((e[0] for e in events), dtype=np.int64, count=n_events),
+            np.fromiter((e[1] for e in events), dtype=np.float64, count=n_events),
+            np.fromiter((e[2] for e in events), dtype=np.int64, count=n_events),
+            np.fromiter((e[3] for e in events), dtype=bool, count=n_events),
+        ),
+    )
 
+
+def _bits(column: np.ndarray) -> np.ndarray:
+    """``column`` compared bit for bit: float ``==`` would equate
+    ``0.0`` with ``-0.0`` and fail on NaN."""
+    return column.view(np.int64) if column.dtype == np.float64 else column
+
+
+def splice_loop(once: Recording, thrice: Recording, count: int) -> Columns | None:
+    """The ``count``-pass event columns, built from 1- and 3-pass runs.
+
+    Accepted only when both runs share their atom and transfer tables
+    and the 3-pass stream is the 1-pass stream ``E1`` with one non-empty
+    block ``B`` inserted twice at a single position ``q``; the result is
+    then ``E1[:q] + B * (count - 1) + E1[q:]``.  A first pass that
+    differs from the rest (C++ AMP's first-touch uploads) still fits:
+    it lies in ``E1[:q]``.  ``q`` is taken as the length of the common
+    prefix of the two streams; when any insertion point fits, this one
+    does, and every fitting point splices the same stream.  Returns
+    ``None`` when the runs do not have this form.
+    """
+    if once.atoms != thrice.atoms or once.transfers != thrice.transfers:
+        return None
+    short = [_bits(c) for c in once.columns]
+    long = [_bits(c) for c in thrice.columns]
+    n_short = len(short[0])
+    extra = len(long[0]) - n_short
+    if extra <= 0 or extra % 2:
+        return None
+    width = extra // 2
+    diverged = np.zeros(n_short, dtype=bool)
+    for a, b in zip(short, long):
+        diverged |= a != b[:n_short]
+    q = int(np.argmax(diverged)) if diverged.any() else n_short
+    for a, b in zip(short, long):
+        if not (
+            np.array_equal(b[q + width : q + extra], b[q : q + width])
+            and np.array_equal(b[q + extra :], a[q:])
+        ):
+            return None
+    return tuple(  # type: ignore[return-value]
+        np.concatenate((a[:q], np.tile(b[q : q + width], count - 1), a[q:]))
+        for a, b in zip(once.columns, thrice.columns)
+    )
+
+
+def capture_program(spec: RunSpec) -> ChargeProgram:
+    """Lift ``spec``'s schedule into a :class:`ChargeProgram`.
+
+    The capture platform uses default clocks — legitimate because the
+    schedule is clock-independent — and projection stubs serve the
+    problem setups, so capture cost is the port's host logic only.
+
+    When the app declares a :attr:`~repro.apps.base.ProxyApp.loop_field`
+    with a count above 3, the port is recorded at counts 1 and 3 and
+    the repeated pass is spliced to full length (:func:`splice_loop`),
+    so the cost follows one loop body rather than the trip count.  Both
+    short runs share the full config's stub (the stub-cache key ignores
+    the loop field).  Whenever the splice's check fails, the port is
+    recorded once at the full count, exactly as without a loop field.
+    Either way the program's arrays are the full recording's, exactly.
+    """
+    from ..apps import APPS_BY_NAME
+
+    loop_field = APPS_BY_NAME[spec.app].loop_field
+    config = spec.config
+    count = getattr(config, loop_field) if loop_field is not None else 0
+    columns: Columns | None = None
+    with memo.projection_stubs(loop_field=loop_field):
+        if count > 3:
+            once = _record(spec, replace(config, **{loop_field: 1}))
+            thrice = _record(spec, replace(config, **{loop_field: 3}))
+            columns = splice_loop(once, thrice, count)
+            recording = once
+        if columns is None:
+            recording = _record(spec, config)
+            columns = recording.columns
+
+    ev_atom, ev_overhead, ev_xfer, ev_counted = columns
     kernel_mask = ev_atom >= 0
     transfer_mask = ev_xfer >= 0
+    transfer_events = ev_xfer[transfer_mask]
+    uses = np.bincount(transfer_events, minlength=len(recording.transfers))
     bytes_to_device = 0
     bytes_to_host = 0
-    for index in ev_xfer[transfer_mask]:
-        nbytes, direction = log.transfers[index]
+    for (nbytes, direction), n_uses in zip(recording.transfers, uses.tolist()):
         if direction == "h2d":
-            bytes_to_device += nbytes
+            bytes_to_device += nbytes * n_uses
         else:
-            bytes_to_host += nbytes
+            bytes_to_host += nbytes * n_uses
 
     return ChargeProgram(
         app=spec.app,
         model=spec.model,
-        checksum=result.checksum,
-        atoms=tuple(log.atoms),
-        transfers=tuple(log.transfers),
+        checksum=recording.checksum,
+        atoms=recording.atoms,
+        transfers=recording.transfers,
         ev_atom=ev_atom,
         ev_overhead=ev_overhead,
         ev_xfer=ev_xfer,
         ev_counted=ev_counted,
         kernel_atoms=ev_atom[kernel_mask],
         kernel_overheads=ev_overhead[kernel_mask],
-        transfer_events=ev_xfer[transfer_mask],
+        transfer_events=transfer_events,
         bytes_to_device=bytes_to_device,
         bytes_to_host=bytes_to_host,
     )

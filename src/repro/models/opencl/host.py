@@ -112,23 +112,26 @@ class Buffer:
         self.size = int(size)
         gpu_memory = context.execution.platform.gpu.memory
         gpu_memory.check_allocation(self.size)
-        unified = context.execution.platform.is_apu
-        if hostbuf is not None and (MemFlags.USE_HOST_PTR in flags and unified):
-            self._device_array = hostbuf  # zero-copy alias
-        elif hostbuf is not None and MemFlags.COPY_HOST_PTR in flags:
+        zero_copy = MemFlags.USE_HOST_PTR in flags and context.execution.platform.is_apu
+        copied = hostbuf is not None and not zero_copy and MemFlags.COPY_HOST_PTR in flags
+        if hostbuf is None:
+            self._device_array = None
+        elif zero_copy or not context.execution.execute_kernels:
+            # Projection mode never reads device data, so it aliases the
+            # host pointer like ``enqueue_write_buffer`` does: no
+            # problem-sized host work.
+            self._device_array = hostbuf
+        elif copied:
             self._device_array = hostbuf.copy()
+        else:
+            self._device_array = np.zeros(hostbuf.shape, hostbuf.dtype)
+        if copied:
             # The copy is synchronous host-side work: its cost lands in
             # the counters but not on any command queue's clock, hence
             # counted=False (the return value is deliberately dropped).
             context.toolchain.charge_transfer(
                 context.execution, self.size, "h2d", counted=False
             )
-        else:
-            self._device_array = (
-                np.zeros(hostbuf.shape, hostbuf.dtype) if hostbuf is not None else None
-            )
-        self._shape = None if self._device_array is None else self._device_array.shape
-        self._dtype = None if self._device_array is None else self._device_array.dtype
 
     @property
     def device_array(self) -> np.ndarray:
@@ -170,7 +173,6 @@ class Program:
     def __init__(self, context: Context) -> None:
         context._check()
         self.context = context
-        self._kernels: dict[str, Kernel] = {}
         self._built = False
 
     def build(self) -> "Program":
@@ -181,9 +183,11 @@ class Program:
     def create_kernel(self, name: str, func: Callable[..., None], spec: KernelSpec) -> Kernel:
         if not self._built:
             raise CLError("clCreateKernel before clBuildProgram")
-        kernel = Kernel(self, name, func, spec)
-        self._kernels[name] = kernel
-        return kernel
+        # The kernel refers to its program, not the other way round: a
+        # program -> kernel table would make a reference cycle that
+        # keeps every buffer a kernel's arguments hold alive until the
+        # cycle collector runs.
+        return Kernel(self, name, func, spec)
 
 
 class CommandQueue:

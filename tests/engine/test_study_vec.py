@@ -8,24 +8,29 @@ matrix (including the Serial and Heterogeneous Compute cells the
 columnar engine must delegate) through both engines from cold caches
 and compare everything observable, then probe the seams: quarantine
 holes, clock-override sweeps, the batched pricers, capture memoization,
-the projection-stub cache and the shape-only stubs themselves.
+the projection-stub cache, the shape-only stubs themselves and the
+loop-compressed capture of LULESH and miniFE.
 """
 
 import dataclasses
+import gc
 import random
 
 import numpy as np
 import pytest
 
 from repro.apps import ALL_APPS, APPS_BY_NAME
-from repro.core.configs import sweep_configs
+from repro.apps.lulesh import LuleshConfig
+from repro.core.configs import bench_configs, sweep_configs
 from repro.core.study import run_study
-from repro.engine import memo
+from repro.engine import memo, study_vec
 from repro.engine.study_vec import (
     VECTOR_MODELS,
+    Recording,
     capture_program,
     execute_vector,
     price_specs,
+    splice_loop,
     vector_eligible,
 )
 from repro.engine.timing import time_cpu_kernel, time_gpu_kernel
@@ -452,6 +457,19 @@ def test_lulesh_stub_matches_builder(size, precision):
     assert (stub.dtype, stub.time, stub.dt) == (real.dtype, real.time, real.dt)
 
 
+def assert_same_program(left, right, label):
+    """Two captured programs are equal field by field: every event
+    array by value and dtype, every table and total by ``==``."""
+    for field in dataclasses.fields(right):
+        name = field.name
+        value, other = getattr(right, name), getattr(left, name)
+        if isinstance(value, np.ndarray):
+            assert other.dtype == value.dtype, (label, name)
+            assert np.array_equal(other, value), (label, name)
+        else:
+            assert other == value, (label, name)
+
+
 @pytest.mark.parametrize("app_name", [app.name for app in ALL_APPS])
 def test_stub_capture_equals_real_build_capture(app_name, monkeypatch):
     """Shape-only stubs capture exactly the schedule a real problem
@@ -472,16 +490,216 @@ def test_stub_capture_equals_real_build_capture(app_name, monkeypatch):
     real = [capture_program(spec) for spec in specs]
     memo.clear_caches()
     for spec, left, right in zip(specs, stubbed, real):
-        for field in dataclasses.fields(right):
-            name = field.name
-            value, other = getattr(right, name), getattr(left, name)
-            if isinstance(value, np.ndarray):
-                assert other.dtype == value.dtype, (spec.label, name)
-                assert np.array_equal(other, value), (spec.label, name)
-            else:
-                assert other == value, (spec.label, name)
+        assert_same_program(left, right, spec.label)
 
 
 def test_execute_with_engine_rejects_unknown_engine():
     with pytest.raises(ValueError, match="unknown engine"):
         execute_with_engine("warp", [])
+
+
+# -- loop-compressed capture ------------------------------------------------
+
+LOOP_APPS = [app.name for app in ALL_APPS if app.loop_field is not None]
+
+#: Every preset a study, sweep or serve request can name.
+PRESET_CONFIGS = {
+    "sweep": sweep_configs,
+    "bench": bench_configs,
+    "paper": lambda: {app.name: app.paper_config() for app in ALL_APPS},
+}
+
+
+def test_loop_fields_declared():
+    """LULESH and miniFE repeat one loop body; CoMD's rebin epochs make
+    its steps unequal, so it must not declare one."""
+    assert {app.name: app.loop_field for app in ALL_APPS if app.loop_field} == {
+        "LULESH": "iterations",
+        "miniFE": "cg_iterations",
+    }
+
+
+@pytest.mark.parametrize("scale", sorted(PRESET_CONFIGS))
+@pytest.mark.parametrize("app_name", LOOP_APPS)
+def test_compressed_capture_equals_full_capture(app_name, scale, monkeypatch):
+    """The spliced program is exactly the program of recording every
+    pass: each vector model x platform x precision of a loop-declaring
+    app, at every preset scale, against a capture forced full by
+    clearing the app's loop field."""
+    app = APPS_BY_NAME[app_name]
+    config = PRESET_CONFIGS[scale]()[app_name]
+    specs = [
+        RunSpec(app_name, model, platform, precision, config)
+        for model in sorted(VECTOR_MODELS)
+        for platform in PLATFORMS
+        for precision in Precision
+    ]
+    memo.clear_caches()
+    compressed = [capture_program(spec) for spec in specs]
+    monkeypatch.setitem(APPS_BY_NAME, app_name, dataclasses.replace(app, loop_field=None))
+    full = [capture_program(spec) for spec in specs]
+    memo.clear_caches()
+    for spec, left, right in zip(specs, compressed, full):
+        assert_same_program(left, right, spec.label)
+
+
+def recording(passes, atoms=("k0", "k1", "k2"), transfers=((8, "h2d"),)):
+    """A hand-built capture: a prologue, the given loop passes, an
+    epilogue.  Each pass is a list of ``(atom, overhead, xfer, counted)``
+    events."""
+    events = [(-1, 0.0, 0, False), (0, 1e-6, -1, True)]
+    for one_pass in passes:
+        events.extend(one_pass)
+    events.append((2, 3e-6, -1, True))
+    columns = tuple(
+        np.array([e[i] for e in events], dtype=dtype)
+        for i, dtype in enumerate((np.int64, np.float64, np.int64, bool))
+    )
+    return Recording(checksum=0.0, atoms=tuple(atoms), transfers=tuple(transfers), columns=columns)
+
+
+FIRST = [(-1, 0.0, 0, True), (1, 2e-6, -1, True)]  # first touch uploads
+STEADY = [(1, 2e-6, -1, True), (0, 1e-6, -1, True)]
+ODD = [(1, 2e-6, -1, True), (0, 1.5e-6, -1, True)]
+
+
+def test_splice_accepts_a_first_pass_that_differs():
+    spliced = splice_loop(
+        recording([FIRST]), recording([FIRST, STEADY, STEADY]), count=6
+    )
+    expected = recording([FIRST] + [STEADY] * 5).columns
+    assert spliced is not None
+    for got, want in zip(spliced, expected):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "thrice",
+    [
+        recording([FIRST, STEADY, ODD]),  # third pass differs
+        recording([FIRST, STEADY]),  # one pass inserted, not two
+        recording([FIRST, STEADY, STEADY[:1]]),  # odd insertion length
+        recording([FIRST, STEADY, STEADY], atoms=("k0", "k1", "k2", "k3")),
+        recording([FIRST, STEADY, STEADY], transfers=((8, "h2d"), (8, "d2h"))),
+        recording([FIRST]),  # the loop charges nothing
+    ],
+    ids=["third-pass", "one-pass", "odd-length", "atoms", "transfers", "empty-block"],
+)
+def test_splice_rejects_and_capture_falls_back_to_full(thrice, monkeypatch):
+    """A stream that is not one repeated block, or tables that differ
+    between the two short runs, reject the splice; capture then records
+    the full count and returns exactly that recording."""
+    assert splice_loop(recording([FIRST]), thrice, count=6) is None
+    full = recording([FIRST] + [STEADY] * 5)
+    by_count = {1: recording([FIRST]), 3: thrice, 6: full}
+    counts = []
+
+    def fake_record(spec, config):
+        counts.append(config.iterations)
+        return by_count[config.iterations]
+
+    monkeypatch.setattr(study_vec, "_record", fake_record)
+    config = LuleshConfig(size=2, iterations=6)
+    program = capture_program(RunSpec("LULESH", "OpenCL", DGPU, Precision.SINGLE, config))
+    assert counts == [1, 3, 6]
+    for got, want in zip(
+        (program.ev_atom, program.ev_overhead, program.ev_xfer, program.ev_counted),
+        full.columns,
+    ):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert program.atoms == full.atoms and program.transfers == full.transfers
+
+
+def test_short_counts_capture_in_full(monkeypatch):
+    """Three passes or fewer are recorded as they are."""
+    counts = []
+    record = study_vec._record
+
+    def spy(spec, config):
+        counts.append(config.iterations)
+        return record(spec, config)
+
+    monkeypatch.setattr(study_vec, "_record", spy)
+    config = sweep_configs()["LULESH"]
+    assert config.iterations == 3
+    capture_program(RunSpec("LULESH", "OpenCL", DGPU, Precision.SINGLE, config))
+    assert counts == [3]
+
+
+def test_paper_lulesh_captures_run_each_port_twice_on_shared_stubs(monkeypatch):
+    """The paper-scale study's 16 LULESH captures record each port at
+    counts 1 and 3 only, and the short runs reuse the full config's
+    stub: one ``_STUB_CACHE`` entry per precision."""
+    app = APPS_BY_NAME["LULESH"]
+    specs = {
+        spec.schedule_key(): spec
+        for spec in study_runs(
+            app_names=["LULESH"],
+            configs={"LULESH": app.paper_config()},
+            apu_values=(True, False),
+            precisions=list(Precision),
+            models=("OpenCL", "C++ AMP", "OpenACC", "Heterogeneous Compute"),
+            baseline="OpenMP",
+            projection=True,
+        )
+        if vector_eligible(spec)
+    }
+    assert len(specs) == 16
+    calls = []
+    for model, port in app.ports.items():
+
+        def spy(ctx, config, port=port, model=model):
+            calls.append((model, ctx.platform.name, ctx.precision, config.iterations))
+            return port(ctx, config)
+
+        monkeypatch.setitem(app.ports, model, spy)
+    memo.clear_caches()
+    for spec in specs.values():
+        capture_program(spec)
+    assert len(calls) == 32
+    assert sorted(c[3] for c in calls) == [1] * 16 + [3] * 16
+    assert len({c[:3] for c in calls}) == 16
+    lulesh_stubs = [key for key in memo._STUB_CACHE if key[0] == "repro.apps.lulesh.reference"]
+    assert len(lulesh_stubs) == 2
+    memo.clear_caches()
+
+
+def test_stub_key_ignores_only_the_active_loop_field():
+    """Outside a loop-field block, configs that differ in their loop
+    count keep separate stub entries, as before."""
+    from repro.apps.lulesh.reference import make_state
+
+    memo.clear_caches()
+    short, long = LuleshConfig(size=4, iterations=1), LuleshConfig(size=4, iterations=9)
+    with memo.projection_stubs(loop_field="iterations"):
+        assert make_state(short, Precision.SINGLE) is make_state(long, Precision.SINGLE)
+        assert make_state(LuleshConfig(size=5, iterations=1), Precision.SINGLE) is not (
+            make_state(short, Precision.SINGLE)
+        )
+    memo.clear_caches()
+    with memo.projection_stubs():
+        assert make_state(short, Precision.SINGLE) is not make_state(long, Precision.SINGLE)
+    memo.clear_caches()
+
+
+def test_capture_runs_leave_no_cyclic_garbage():
+    """Every port's capture run is freed by reference counting alone.
+    Cyclic garbage would hold a run's host arrays until the cycle
+    collector runs, so that the two short runs of a compressed capture
+    stacked up memory (peak RSS of the paper-scale study grew)."""
+    leaky = []
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for app in ALL_APPS:
+            config = sweep_configs()[app.name]
+            for model in sorted(VECTOR_MODELS):
+                gc.collect()
+                capture_program(RunSpec(app.name, model, DGPU, Precision.DOUBLE, config))
+                if gc.collect():
+                    leaky.append((app.name, model))
+    finally:
+        if enabled:
+            gc.enable()
+        memo.clear_caches()
+    assert not leaky

@@ -1,5 +1,8 @@
 """OpenCL host-API semantics tests."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -75,6 +78,50 @@ class TestBuffers:
         data = np.ones(1024, dtype=np.float32)
         cl.Buffer(context, cl.MemFlags.READ_ONLY | cl.MemFlags.COPY_HOST_PTR, hostbuf=data)
         assert ctx.counters.bytes_to_device == data.nbytes
+
+    @pytest.mark.parametrize(
+        "flags",
+        [cl.MemFlags.READ_WRITE, cl.MemFlags.READ_ONLY | cl.MemFlags.COPY_HOST_PTR],
+        ids=["shadow", "copy_host_ptr"],
+    )
+    def test_projection_buffer_aliases_hostbuf(self, flags):
+        """Projection never reads device data: a host-pointer buffer
+        holds the host array itself (no shadow, no copy), while the
+        functional path still gets its own device array."""
+        data = np.ones(1024, dtype=np.float32)
+        projected = make_ctx(execute=False)
+        context, _, _ = setup_queue(projected)
+        assert cl.Buffer(context, flags, hostbuf=data).device_array is data
+        functional = make_ctx()
+        context, _, _ = setup_queue(functional)
+        staged = cl.Buffer(context, flags, hostbuf=data).device_array
+        assert staged is not data
+        expected = data if cl.MemFlags.COPY_HOST_PTR in flags else np.zeros_like(data)
+        assert np.array_equal(staged, expected)
+        # The COPY_HOST_PTR copy is charged the same in both modes.
+        copied = data.nbytes if cl.MemFlags.COPY_HOST_PTR in flags else 0
+        assert projected.counters.bytes_to_device == copied
+        assert functional.counters.bytes_to_device == copied
+
+    def test_kernel_arguments_freed_without_cycle_collector(self):
+        """Handles form no reference cycle: once the host code drops
+        them, a kernel's argument buffers are freed by reference
+        counting alone, not held until the cycle collector runs."""
+        ctx = make_ctx(execute=False)
+        context, queue, program = setup_queue(ctx)
+        buffer = cl.Buffer(context, cl.MemFlags.READ_WRITE, hostbuf=np.ones(1024, np.float32))
+        kernel = program.create_kernel("k", lambda a: None, make_spec(1024))
+        kernel.set_args(buffer)
+        queue.enqueue_nd_range_kernel(kernel, 1024, 64)
+        freed = weakref.ref(buffer)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del context, queue, program, buffer, kernel
+            assert freed() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_unstaged_buffer_use_rejected(self):
         ctx = make_ctx()
