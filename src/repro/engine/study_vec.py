@@ -31,11 +31,15 @@ This engine lowers the matrix instead of looping it:
    left-associated IEEE fold, the same addition sequence the port's
    accumulator and :class:`~repro.engine.counters.PerfCounters`
    performed — bit-identical, not merely close.  (``np.sum`` would use
-   pairwise summation and drift in the last ulps.)
+   pairwise summation and drift in the last ulps.)  Heterogeneous
+   Compute's clock is not one accumulator but a copy stream and a
+   compute stream; its capture also carries the runtime's stream ops
+   (:class:`StreamProgram`), and its seconds come from replaying them
+   over the priced charges (:func:`repro.models.hc.replay`) — the same
+   ``max`` and ``+`` in the same order.  Its counters fold as above.
 
-Cells the fold cannot express run through the scalar engine unchanged:
-functional (non-projection) runs, the Heterogeneous Compute model
-(a two-queue makespan, not a single accumulator), telemetry recordings
+Cells the engine cannot express run through the scalar engine
+unchanged: functional (non-projection) runs, telemetry recordings
 (spans are per-charge by construction), and fault-injection campaigns
 (the chaos harness drives the scalar retry ladder).  The scalar path
 is also the per-cell fallback if anything in the columnar path raises.
@@ -72,13 +76,23 @@ from ..exec.executor import (
 from ..exec.faults import FaultPlan, RunError, fault_plan_from_env
 from ..exec.plan import RunSpec, SpecLattice
 from ..exec.retry import RetryPolicy, run_with_retry, validate_result
+from ..models import hc
 from ..models.base import ChargeLog, ExecutionContext
 
-#: Models whose simulated clock is a single left-fold of ``charge_*``
-#: returns.  Heterogeneous Compute is excluded: its CPU and GPU queues
-#: accumulate separately and the run time is their makespan.
+#: Models the columnar engine prices: every model of the study.  All
+#: but Heterogeneous Compute have a single left-fold of ``charge_*``
+#: returns as their clock; HC's two streams replay from the capture's
+#: stream ops.
 VECTOR_MODELS = frozenset(
-    {"OpenMP", "Serial", "OpenCL", "C++ AMP", "OpenACC", "OpenMP Offload"}
+    {
+        "OpenMP",
+        "Serial",
+        "OpenCL",
+        "C++ AMP",
+        "OpenACC",
+        "OpenMP Offload",
+        "Heterogeneous Compute",
+    }
 )
 
 
@@ -86,9 +100,32 @@ def vector_eligible(spec: RunSpec) -> bool:
     """Whether the columnar engine can price this cell.
 
     Projection mode only (functional runs execute kernel bodies, which
-    capture skips by construction), and single-accumulator models only.
+    capture skips by construction), and models in :data:`VECTOR_MODELS`.
     """
     return spec.projection and spec.model in VECTOR_MODELS
+
+
+@dataclass(frozen=True)
+class StreamProgram:
+    """A two-stream capture's side stream (:mod:`repro.models.hc`).
+
+    ``ops`` and ``args`` are parallel over the runtime's stream ops in
+    capture order; each op in :data:`~repro.models.hc.CHARGING_OPS`
+    uses up the next event of the program's charge stream.
+    """
+
+    ops: np.ndarray  #: (K,) int64 op code
+    args: np.ndarray  #: (K,) int64 ready slot or wait-set index, -1 for none
+    n_slots: int
+    wait_sets: tuple[tuple[int, ...], ...]
+
+    def matches(self, ev_atom: np.ndarray) -> bool:
+        """Whether the charging ops pair one to one with the events:
+        launches with kernel events, copies with transfer events."""
+        charging = self.ops[np.isin(self.ops, hc.CHARGING_OPS)]
+        return len(charging) == len(ev_atom) and bool(
+            np.array_equal(charging == hc.LAUNCH, ev_atom >= 0)
+        )
 
 
 @dataclass(frozen=True)
@@ -122,6 +159,9 @@ class ChargeProgram:
     #: Exact byte totals by direction (Python ints, like the counters).
     bytes_to_device: int
     bytes_to_host: int
+    #: The stream ops of a two-stream model; ``None`` when the clock is
+    #: one fold of the charges.
+    stream: StreamProgram | None = None
 
 
 #: The four parallel event columns of a capture, in ``ChargeLog.events``
@@ -137,6 +177,7 @@ class Recording:
     atoms: tuple[tuple, ...]
     transfers: tuple[tuple[int, str], ...]
     columns: Columns
+    stream: StreamProgram | None = None
 
 
 def _record(spec: RunSpec, config: object) -> Recording:
@@ -154,16 +195,29 @@ def _record(spec: RunSpec, config: object) -> Recording:
     result = APPS_BY_NAME[spec.app].ports[spec.model](ctx, config)
     events = log.events
     n_events = len(events)
+    ev_atom = np.fromiter((e[0] for e in events), dtype=np.int64, count=n_events)
+    stream = None
+    if log.stream_ops:
+        ops = log.stream_ops
+        stream = StreamProgram(
+            ops=np.fromiter((o[0] for o in ops), dtype=np.int64, count=len(ops)),
+            args=np.fromiter((o[1] for o in ops), dtype=np.int64, count=len(ops)),
+            n_slots=len(log.slot_arrays),
+            wait_sets=tuple(log.wait_sets),
+        )
+        if not stream.matches(ev_atom):
+            raise RuntimeError(f"{spec.label}: stream ops do not pair with the charges")
     return Recording(
         checksum=result.checksum,
         atoms=tuple(log.atoms),
         transfers=tuple(log.transfers),
         columns=(
-            np.fromiter((e[0] for e in events), dtype=np.int64, count=n_events),
+            ev_atom,
             np.fromiter((e[1] for e in events), dtype=np.float64, count=n_events),
             np.fromiter((e[2] for e in events), dtype=np.int64, count=n_events),
             np.fromiter((e[3] for e in events), dtype=bool, count=n_events),
         ),
+        stream=stream,
     )
 
 
@@ -173,8 +227,37 @@ def _bits(column: np.ndarray) -> np.ndarray:
     return column.view(np.int64) if column.dtype == np.float64 else column
 
 
-def splice_loop(once: Recording, thrice: Recording, count: int) -> Columns | None:
-    """The ``count``-pass event columns, built from 1- and 3-pass runs.
+def _splice_columns(
+    short: Sequence[np.ndarray], long: Sequence[np.ndarray], count: int
+) -> tuple[np.ndarray, ...] | None:
+    """``E1[:q] + B * (count - 1) + E1[q:]`` over parallel columns, or
+    ``None`` when ``long`` is not ``short`` with one non-empty block
+    ``B`` inserted twice at ``q`` (see :func:`splice_loop`)."""
+    short_bits = [_bits(c) for c in short]
+    long_bits = [_bits(c) for c in long]
+    n_short = len(short_bits[0])
+    extra = len(long_bits[0]) - n_short
+    if extra <= 0 or extra % 2:
+        return None
+    width = extra // 2
+    diverged = np.zeros(n_short, dtype=bool)
+    for a, b in zip(short_bits, long_bits):
+        diverged |= a != b[:n_short]
+    q = int(np.argmax(diverged)) if diverged.any() else n_short
+    for a, b in zip(short_bits, long_bits):
+        if not (
+            np.array_equal(b[q + width : q + extra], b[q : q + width])
+            and np.array_equal(b[q + extra :], a[q:])
+        ):
+            return None
+    return tuple(
+        np.concatenate((a[:q], np.tile(b[q : q + width], count - 1), a[q:]))
+        for a, b in zip(short, long)
+    )
+
+
+def splice_loop(once: Recording, thrice: Recording, count: int) -> Recording | None:
+    """The ``count``-pass recording, built from 1- and 3-pass runs.
 
     Accepted only when both runs share their atom and transfer tables
     and the 3-pass stream is the 1-pass stream ``E1`` with one non-empty
@@ -183,32 +266,34 @@ def splice_loop(once: Recording, thrice: Recording, count: int) -> Columns | Non
     differs from the rest (C++ AMP's first-touch uploads) still fits:
     it lies in ``E1[:q]``.  ``q`` is taken as the length of the common
     prefix of the two streams; when any insertion point fits, this one
-    does, and every fitting point splices the same stream.  Returns
-    ``None`` when the runs do not have this form.
+    does, and every fitting point splices the same stream.  A
+    two-stream capture's op columns must pass the same check, with
+    equal slot counts and wait-set tables, and still pair with the
+    spliced events.  Returns ``None`` when the runs do not have this
+    form.
     """
     if once.atoms != thrice.atoms or once.transfers != thrice.transfers:
         return None
-    short = [_bits(c) for c in once.columns]
-    long = [_bits(c) for c in thrice.columns]
-    n_short = len(short[0])
-    extra = len(long[0]) - n_short
-    if extra <= 0 or extra % 2:
+    columns = _splice_columns(once.columns, thrice.columns, count)
+    if columns is None:
         return None
-    width = extra // 2
-    diverged = np.zeros(n_short, dtype=bool)
-    for a, b in zip(short, long):
-        diverged |= a != b[:n_short]
-    q = int(np.argmax(diverged)) if diverged.any() else n_short
-    for a, b in zip(short, long):
-        if not (
-            np.array_equal(b[q + width : q + extra], b[q : q + width])
-            and np.array_equal(b[q + extra :], a[q:])
+    stream = once.stream
+    if stream is not None or thrice.stream is not None:
+        other = thrice.stream
+        if (
+            stream is None
+            or other is None
+            or stream.n_slots != other.n_slots
+            or stream.wait_sets != other.wait_sets
         ):
             return None
-    return tuple(  # type: ignore[return-value]
-        np.concatenate((a[:q], np.tile(b[q : q + width], count - 1), a[q:]))
-        for a, b in zip(once.columns, thrice.columns)
-    )
+        ops = _splice_columns((stream.ops, stream.args), (other.ops, other.args), count)
+        if ops is None:
+            return None
+        stream = replace(stream, ops=ops[0], args=ops[1])
+        if not stream.matches(columns[0]):
+            return None
+    return replace(once, columns=columns, stream=stream)  # type: ignore[arg-type]
 
 
 def capture_program(spec: RunSpec) -> ChargeProgram:
@@ -232,18 +317,16 @@ def capture_program(spec: RunSpec) -> ChargeProgram:
     loop_field = APPS_BY_NAME[spec.app].loop_field
     config = spec.config
     count = getattr(config, loop_field) if loop_field is not None else 0
-    columns: Columns | None = None
+    recording: Recording | None = None
     with memo.projection_stubs(loop_field=loop_field):
         if count > 3:
             once = _record(spec, replace(config, **{loop_field: 1}))
             thrice = _record(spec, replace(config, **{loop_field: 3}))
-            columns = splice_loop(once, thrice, count)
-            recording = once
-        if columns is None:
+            recording = splice_loop(once, thrice, count)
+        if recording is None:
             recording = _record(spec, config)
-            columns = recording.columns
 
-    ev_atom, ev_overhead, ev_xfer, ev_counted = columns
+    ev_atom, ev_overhead, ev_xfer, ev_counted = recording.columns
     kernel_mask = ev_atom >= 0
     transfer_mask = ev_xfer >= 0
     transfer_events = ev_xfer[transfer_mask]
@@ -271,6 +354,7 @@ def capture_program(spec: RunSpec) -> ChargeProgram:
         transfer_events=transfer_events,
         bytes_to_device=bytes_to_device,
         bytes_to_host=bytes_to_host,
+        stream=recording.stream,
     )
 
 
@@ -356,16 +440,27 @@ def price_cell(program: ChargeProgram, spec: RunSpec) -> RunResult:
     xfer_joules = np.array(
         [energy.transfer_joules(link_w, s) for s in xfer_seconds] + [0.0]
     )
-    # The port's clock: each counted charge contributes its return
-    # value (kernel seconds + overhead as one add, then the fold add —
-    # the same two-IEEE-add sequence the scalar accumulator performs).
-    kernel_contrib = atom_seconds[program.ev_atom] + program.ev_overhead
-    transfer_contrib = np.where(
-        program.ev_counted, transfer_seconds[program.ev_xfer], 0.0
+    # Each charge's return value: kernel seconds + overhead as one add,
+    # or the transfer's seconds.  The port's clock folds the counted
+    # ones (then the fold add — the same two-IEEE-add sequence the
+    # scalar accumulator performs); a two-stream program replays its
+    # ops over all of them instead.
+    charges = np.where(
+        program.ev_atom >= 0,
+        atom_seconds[program.ev_atom] + program.ev_overhead,
+        transfer_seconds[program.ev_xfer],
     )
-    seconds = _accumulate(
-        np.where(program.ev_atom >= 0, kernel_contrib, transfer_contrib)
-    )
+    stream = program.stream
+    if stream is None:
+        seconds = _accumulate(np.where(program.ev_counted, charges, 0.0))
+    else:
+        seconds = hc.replay(
+            stream.ops.tolist(),
+            stream.args.tolist(),
+            stream.wait_sets,
+            stream.n_slots,
+            charges.tolist(),
+        )
 
     katoms = program.kernel_atoms
     kernel_seconds = _accumulate(atom_seconds[katoms])

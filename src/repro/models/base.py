@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -223,12 +224,23 @@ class ChargeLog:
       the port discards the charge's return value (a copy whose cost is
       recorded in the counters but never reaches the port's simulated
       clock).
+    * ``stream_ops`` — a two-stream model's side stream
+      (:mod:`repro.models.hc`): ``(op, arg)`` in charge order, ``arg``
+      a ready slot, an index into ``wait_sets`` or ``-1``.  Empty for
+      every single-clock model.  A slot is a capture-local index per
+      array object; the log holds each slot's array, so no id is reused
+      while the capture runs.
     """
 
     def __init__(self) -> None:
         self.atoms: list[tuple] = []
         self.transfers: list[tuple[int, str]] = []
         self.events: list[tuple[int, float, int, bool]] = []
+        self.stream_ops: list[tuple[int, int]] = []
+        self.wait_sets: list[tuple[int, ...]] = []
+        self.slot_arrays: list[np.ndarray] = []
+        self._slots: dict[int, int] = {}
+        self._wait_index: dict[tuple[int, ...], int] = {}
         self._atom_index: dict[tuple, int] = {}
         self._xfer_index: dict[tuple[int, str], int] = {}
         #: ``(profile, spec, retargeted)`` -> atom index: a repeated
@@ -275,6 +287,26 @@ class ChargeLog:
             self.transfers.append(key)
         self.events.append((-1, 0.0, index, counted))
         return 0.0
+
+    def _slot(self, array: np.ndarray) -> int:
+        index = self._slots.get(id(array))
+        if index is None:
+            index = self._slots[id(array)] = len(self.slot_arrays)
+            self.slot_arrays.append(array)
+        return index
+
+    def stream_op(self, op: int, array: np.ndarray | None = None) -> None:
+        """Record a stream op on ``array``'s ready slot (or on none)."""
+        self.stream_ops.append((op, -1 if array is None else self._slot(array)))
+
+    def stream_wait(self, op: int, arrays: Sequence[np.ndarray]) -> None:
+        """Record a stream op that waits on ``arrays``' ready slots."""
+        slots = tuple(dict.fromkeys(self._slot(a) for a in arrays))
+        index = self._wait_index.get(slots)
+        if index is None:
+            index = self._wait_index[slots] = len(self.wait_sets)
+            self.wait_sets.append(slots)
+        self.stream_ops.append((op, index))
 
 
 class Toolchain:

@@ -85,10 +85,12 @@ class Batcher:
 
     ``engine`` picks how a flushed batch's cold specs are priced:
     ``"vector"`` gathers the columnar-eligible ones
-    (:func:`repro.engine.study_vec.vector_eligible`) into one
-    whole-batch pricing call, with the scalar retry ladder as the
-    per-spec fallback; ``"scalar"`` runs every spec through the retry
-    ladder individually.  Results are bit-identical either way.
+    (:func:`repro.engine.study_vec.vector_eligible` — every projection
+    cell, Heterogeneous Compute's included) into one whole-batch
+    pricing call, with the scalar retry ladder only as the per-spec
+    fallback when that call raises or a result fails validation;
+    ``"scalar"`` runs every spec through the retry ladder
+    individually.  Results are bit-identical either way.
     """
 
     def __init__(
@@ -287,10 +289,11 @@ class Batcher:
         """Backend thread: run each unique spec through cache + retry.
 
         With the vector engine, the batch's columnar-eligible cold
-        specs are priced first as one whole-batch call; their results
-        enter the single-flight cache under the same keys, and any
-        spec the columnar path could not serve (ineligible, failed, or
-        invalid) falls through to the scalar retry ladder.
+        specs (every projection cell) are priced first as one
+        whole-batch call; their results enter the single-flight cache
+        under the same keys, and any spec the columnar path could not
+        serve (functional, failed, or invalid) falls through to the
+        scalar retry ladder.
         """
         tracer = tracing.TRACER
         if self.engine == "vector":

@@ -12,10 +12,12 @@ wants a tier that restarts *warm*.  Two mechanisms, composed:
 * **Pre-price** — enumerate every spec reachable through the
   protocol's *presets* (all apps x their ports x both platforms x
   both precisions x the requested scale presets, no clock overrides)
-  and price the ones the store does not hold yet, columnar through
-  :func:`repro.engine.study_vec.price_specs` with the scalar retry
-  ladder for the few ineligible ports.  This is the first boot's
-  warm-up; afterwards the lattice lives on disk.
+  and price the ones the store does not hold yet, all columnar
+  through :func:`repro.engine.study_vec.price_specs` (every preset is
+  a projection cell of a columnar model).  The scalar retry ladder
+  runs only if the columnar call raises or a result fails validation.
+  This is the first boot's warm-up; afterwards the lattice lives on
+  disk.
 
 N shard processes warming the same store split the pricing work
 naturally: each missing key is claimed through the store's
@@ -103,31 +105,31 @@ def load_store(cache: SingleFlightCache, store: ResultStore) -> int:
 
 
 def _price(specs: list[RunSpec]) -> dict[str, object]:
-    """Price a cold spec list: columnar where eligible, scalar else.
+    """Price a cold preset list columnar; the scalar retry ladder takes
+    the specs if the columnar call raises, and any spec whose columnar
+    result fails validation.
 
     Best-effort — a spec whose pricing fails is simply left cold (the
     lazy serve path retries it with full error reporting).
     """
-    from ..engine.study_vec import price_specs, vector_eligible
+    from ..engine.study_vec import price_specs
 
     priced: dict[str, object] = {}
-    vector = [spec for spec in specs if vector_eligible(spec)]
-    scalar = [spec for spec in specs if not vector_eligible(spec)]
-    if vector:
-        try:
-            results = price_specs(vector)
-        except Exception:
-            scalar = list(specs)  # columnar capture failed: all via ladder
-        else:
-            for spec, result in zip(vector, results):
-                try:
-                    validate_result(result)
-                except Exception:
-                    scalar.append(spec)
-                    continue
-                priced[spec.content_key()] = result
+    ladder: list[RunSpec] = []
+    try:
+        results = price_specs(specs)
+    except Exception:
+        ladder = list(specs)
+    else:
+        for spec, result in zip(specs, results):
+            try:
+                validate_result(result)
+            except Exception:
+                ladder.append(spec)
+                continue
+            priced[spec.content_key()] = result
     policy = RetryPolicy(max_attempts=2)
-    for spec in scalar:
+    for spec in ladder:
         payload = run_with_retry(spec, policy)
         result = getattr(payload, "result", None)
         if result is not None:

@@ -4,9 +4,10 @@ The acceptance property of :mod:`repro.engine.study_vec` is *bit*
 identity: the lowered spec-lattice pricing must reproduce the scalar
 executor's results exactly — seconds, every counter, every kernel
 record — with ``==``, no tolerance.  These tests run the full study
-matrix (including the Serial and Heterogeneous Compute cells the
-columnar engine must delegate) through both engines from cold caches
-and compare everything observable, then probe the seams: quarantine
+matrix (every model, Heterogeneous Compute's two-stream replay
+included, plus a functional cell the columnar engine must delegate)
+through both engines from cold caches and compare everything
+observable, then probe the seams: quarantine
 holes, clock-override sweeps, the batched pricers, capture memoization,
 the projection-stub cache, the shape-only stubs themselves and the
 loop-compressed capture of LULESH and miniFE.
@@ -27,6 +28,7 @@ from repro.engine import memo, study_vec
 from repro.engine.study_vec import (
     VECTOR_MODELS,
     Recording,
+    StreamProgram,
     capture_program,
     execute_vector,
     price_specs,
@@ -40,10 +42,10 @@ from repro.exec.plan import DGPU, PLATFORMS, RunSpec, study_runs, sweep_runs
 from repro.exec.retry import RetryPolicy
 from repro.hardware.device import make_platform
 from repro.hardware.specs import Precision
+from repro.models import hc
 
-#: Every model of the comparison, including the two columnar-ineligible
-#: tails: Serial folds fine, Heterogeneous Compute is a two-queue
-#: makespan and must be delegated to the scalar engine.
+#: Every model of the comparison: Serial and the GPU models fold their
+#: charges, Heterogeneous Compute replays its copy and compute streams.
 ALL_MODELS = ("Serial", "OpenCL", "C++ AMP", "OpenACC", "Heterogeneous Compute")
 
 #: Every numeric field of :class:`repro.engine.counters.PerfCounters`.
@@ -60,6 +62,8 @@ COUNTER_FIELDS = (
     "bytes_to_host",
     "kernel_launches",
     "transfers",
+    "kernel_joules",
+    "transfer_joules",
 )
 
 
@@ -87,6 +91,7 @@ def result_fingerprint(result):
         "seconds": result.seconds,
         "kernel_seconds": result.kernel_seconds,
         "checksum": result.checksum,
+        "joules": result.joules,
         "counters": {
             name: getattr(result.counters, name) for name in COUNTER_FIELDS
         },
@@ -100,10 +105,19 @@ def outcome_fingerprint(outcome):
     return fp
 
 
+#: A functional cell: it runs the kernel bodies, so the vector engine
+#: must hand it to the scalar executor.
+FUNCTIONAL_CELL = RunSpec(
+    "read-benchmark", "OpenCL", DGPU, Precision.SINGLE,
+    sweep_configs()["read-benchmark"], projection=False,
+)
+
+
 @pytest.fixture(scope="module")
 def matrix_pair():
-    """The full matrix through both engines, each from cold caches."""
-    runs = full_matrix()
+    """The full matrix plus one functional cell through both engines,
+    each from cold caches."""
+    runs = full_matrix() + [FUNCTIONAL_CELL]
     memo.clear_caches()
     scalar = execute(runs)
     memo.clear_caches()
@@ -121,12 +135,14 @@ def test_full_matrix_bit_identical(matrix_pair):
 
 
 def test_matrix_covers_both_engine_paths(matrix_pair):
-    """The fixture matrix genuinely exercises the columnar fold *and*
-    the scalar delegation tail."""
+    """The fixture matrix genuinely exercises the columnar fold, the
+    two-stream replay *and* the scalar delegation tail."""
     runs, _scalar, _vector = matrix_pair
     assert any(vector_eligible(spec) for spec in runs)
-    assert any(not vector_eligible(spec) for spec in runs)
-    assert any(spec.model == "Heterogeneous Compute" for spec in runs)
+    assert [spec for spec in runs if not vector_eligible(spec)] == [FUNCTIONAL_CELL]
+    assert any(
+        spec.model == "Heterogeneous Compute" and vector_eligible(spec) for spec in runs
+    )
 
 
 def test_run_study_engines_agree_end_to_end():
@@ -266,12 +282,14 @@ def test_batched_cpu_pricer_matches_scalar(app_name):
 
 
 def test_price_specs_rejects_ineligible():
+    """Heterogeneous Compute prices columnar; a functional cell is
+    still refused."""
     config = sweep_configs()["LULESH"]
     hc = RunSpec("LULESH", "Heterogeneous Compute", DGPU, Precision.SINGLE, config)
     functional = RunSpec("LULESH", "OpenCL", DGPU, Precision.SINGLE, config, projection=False)
-    for spec in (hc, functional):
-        with pytest.raises(ValueError):
-            price_specs([spec])
+    assert len(price_specs([hc])) == 1
+    with pytest.raises(ValueError):
+        price_specs([functional])
 
 
 def test_price_specs_order_invariant():
@@ -459,11 +477,16 @@ def test_lulesh_stub_matches_builder(size, precision):
 
 def assert_same_program(left, right, label):
     """Two captured programs are equal field by field: every event
-    array by value and dtype, every table and total by ``==``."""
+    array by value and dtype, every table and total by ``==``, and a
+    two-stream program's op columns, slot count and wait sets alike."""
     for field in dataclasses.fields(right):
         name = field.name
         value, other = getattr(right, name), getattr(left, name)
-        if isinstance(value, np.ndarray):
+        if name == "stream":
+            assert (other is None) == (value is None), (label, name)
+            if value is not None:
+                assert_same_program(other, value, (label, name))
+        elif isinstance(value, np.ndarray):
             assert other.dtype == value.dtype, (label, name)
             assert np.array_equal(other, value), (label, name)
         else:
@@ -475,7 +498,9 @@ def test_stub_capture_equals_real_build_capture(app_name, monkeypatch):
     """Shape-only stubs capture exactly the schedule a real problem
     build does: every vector model, platform and precision at sweep
     scale, compared field by field (atoms, transfers, byte totals and
-    every event array)."""
+    every event array).  Heterogeneous Compute's ready slots are among
+    the fields, so a stub that aliases two arrays the real build keeps
+    apart would merge their slots and fail here."""
     config = sweep_configs()[app_name]
     specs = [
         RunSpec(app_name, model, platform, precision, config)
@@ -568,8 +593,8 @@ def test_splice_accepts_a_first_pass_that_differs():
         recording([FIRST]), recording([FIRST, STEADY, STEADY]), count=6
     )
     expected = recording([FIRST] + [STEADY] * 5).columns
-    assert spliced is not None
-    for got, want in zip(spliced, expected):
+    assert spliced is not None and spliced.stream is None
+    for got, want in zip(spliced.columns, expected):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
@@ -610,6 +635,61 @@ def test_splice_rejects_and_capture_falls_back_to_full(thrice, monkeypatch):
     assert program.atoms == full.atoms and program.transfers == full.transfers
 
 
+def with_stream(rec, passes):
+    """``rec`` plus a two-stream side stream: a sync upload, one launch
+    per pass (each entry of ``passes`` names the pass's wait set), and
+    a closing join.  Paired with ``recording``'s events for
+    ``[FIRST] + [STEADY] * k``, where a pass charges an upload (FIRST)
+    or a second launch (STEADY)."""
+    ops = [(hc.SYNC_H2D, 0), (hc.LAUNCH, 0)]
+    for i, wait_set in enumerate(passes):
+        if i == 0:
+            ops += [(hc.SYNC_H2D, 1), (hc.LAUNCH, wait_set)]
+        else:
+            ops += [(hc.LAUNCH, wait_set), (hc.LAUNCH, wait_set)]
+    ops += [(hc.LAUNCH, 0), (hc.JOIN, -1)]
+    stream = StreamProgram(
+        ops=np.array([o for o, _ in ops], dtype=np.int64),
+        args=np.array([a for _, a in ops], dtype=np.int64),
+        n_slots=2,
+        wait_sets=((0,), (0, 1)),
+    )
+    assert stream.matches(rec.columns[0])
+    return dataclasses.replace(rec, stream=stream)
+
+
+def test_splice_rejects_a_stream_that_differs_only_in_its_ops(monkeypatch):
+    """Two short runs whose events splice but whose third pass waits on
+    other slots reject the splice; capture records the full count.
+    The same runs with a periodic op stream splice to the full record."""
+    events = [recording([FIRST] + [STEADY] * k) for k in (0, 2, 5)]
+    once = with_stream(events[0], [1])
+    steady = with_stream(events[1], [1, 1, 1])
+    odd = with_stream(events[1], [1, 1, 0])
+    full = with_stream(events[2], [1] * 6)
+
+    spliced = splice_loop(once, steady, count=6)
+    assert spliced is not None
+    assert_same_program(spliced.stream, full.stream, "steady")
+    assert splice_loop(once, odd, count=6) is None
+
+    by_count = {1: once, 3: odd, 6: full}
+    counts = []
+
+    def fake_record(spec, config):
+        counts.append(config.iterations)
+        return by_count[config.iterations]
+
+    monkeypatch.setattr(study_vec, "_record", fake_record)
+    config = LuleshConfig(size=2, iterations=6)
+    program = capture_program(
+        RunSpec("LULESH", "Heterogeneous Compute", DGPU, Precision.SINGLE, config)
+    )
+    assert counts == [1, 3, 6]
+    assert_same_program(program.stream, full.stream, "fallback")
+    assert np.array_equal(program.ev_atom, full.columns[0])
+
+
 def test_short_counts_capture_in_full(monkeypatch):
     """Three passes or fewer are recorded as they are."""
     counts = []
@@ -627,9 +707,10 @@ def test_short_counts_capture_in_full(monkeypatch):
 
 
 def test_paper_lulesh_captures_run_each_port_twice_on_shared_stubs(monkeypatch):
-    """The paper-scale study's 16 LULESH captures record each port at
-    counts 1 and 3 only, and the short runs reuse the full config's
-    stub: one ``_STUB_CACHE`` entry per precision."""
+    """The paper-scale LULESH captures of OpenMP and the four GPU
+    models (20 schedule keys, Heterogeneous Compute's included) record
+    each port at counts 1 and 3 only, and the short runs reuse the full
+    config's stub: one ``_STUB_CACHE`` entry per precision."""
     app = APPS_BY_NAME["LULESH"]
     specs = {
         spec.schedule_key(): spec
@@ -644,7 +725,7 @@ def test_paper_lulesh_captures_run_each_port_twice_on_shared_stubs(monkeypatch):
         )
         if vector_eligible(spec)
     }
-    assert len(specs) == 16
+    assert len(specs) == 20
     calls = []
     for model, port in app.ports.items():
 
@@ -656,9 +737,9 @@ def test_paper_lulesh_captures_run_each_port_twice_on_shared_stubs(monkeypatch):
     memo.clear_caches()
     for spec in specs.values():
         capture_program(spec)
-    assert len(calls) == 32
-    assert sorted(c[3] for c in calls) == [1] * 16 + [3] * 16
-    assert len({c[:3] for c in calls}) == 16
+    assert len(calls) == 40
+    assert sorted(c[3] for c in calls) == [1] * 20 + [3] * 20
+    assert len({c[:3] for c in calls}) == 20
     lulesh_stubs = [key for key in memo._STUB_CACHE if key[0] == "repro.apps.lulesh.reference"]
     assert len(lulesh_stubs) == 2
     memo.clear_caches()
@@ -703,3 +784,50 @@ def test_capture_runs_leave_no_cyclic_garbage():
             gc.enable()
         memo.clear_caches()
     assert not leaky
+
+
+# -- Heterogeneous Compute: the two-stream replay -----------------------
+
+HC = "Heterogeneous Compute"
+
+#: Clock overrides priced on every dGPU cell besides the defaults.
+HC_CLOCKS = ((500.0, None), (1000.0, 600.0))
+
+
+def hc_cells(scale):
+    """Every HC cell of a preset (5 apps x 3 platforms x 2 precisions)
+    plus two clock overrides per dGPU cell."""
+    configs = PRESET_CONFIGS[scale]()
+    cells = []
+    for app in ALL_APPS:
+        for platform in PLATFORMS:
+            for precision in Precision:
+                cell = RunSpec(app.name, HC, platform, precision, configs[app.name])
+                cells.append(cell)
+                if platform == DGPU:
+                    cells.extend(
+                        dataclasses.replace(cell, core_mhz=core, memory_mhz=memory)
+                        for core, memory in HC_CLOCKS
+                    )
+    return cells
+
+
+@pytest.mark.parametrize("scale", ["sweep", "bench"])
+def test_hc_columnar_equals_scalar(scale):
+    """Replaying the captured stream ops reproduces the scalar HC
+    runtime bit for bit: seconds, kernel seconds, joules, every counter
+    and every kernel record."""
+    cells = hc_cells(scale)
+    memo.clear_caches()
+    scalar, stats = execute(cells)
+    assert not stats.failures
+    memo.clear_caches()
+    vector = price_specs(cells)
+    memo.clear_caches()
+    for spec, left, right in zip(cells, scalar, vector):
+        assert result_fingerprint(left.result) == result_fingerprint(right), spec.label
+    # The overrides reach the price: no dGPU cell prices all three of
+    # its clock points alike.
+    dgpu = [r.seconds for spec, r in zip(cells, vector) if spec.platform == DGPU]
+    for start in range(0, len(dgpu), 1 + len(HC_CLOCKS)):
+        assert len(set(dgpu[start : start + 1 + len(HC_CLOCKS)])) > 1

@@ -159,3 +159,64 @@ def test_config_cap_beats_the_protocol_default():
             {"apps": ["XSBench", "LULESH"], "scale": "bench"},
         )
         assert status == 413
+
+
+# -- engine routing ------------------------------------------------------
+
+
+def _metric_total(parsed: dict, name: str) -> float:
+    return sum(value for _labels, value in parsed.get(name, []))
+
+
+def test_bench_presets_price_without_the_scalar_engine():
+    """One ``/v1/batch`` of every bench-preset cell, Heterogeneous
+    Compute's included, is priced columnar: no engine run at all."""
+    from repro.serve.warmup import preset_specs
+
+    specs = preset_specs(("bench",))
+    cells = [
+        {"app": s.app, "model": s.model, "platform": s.platform,
+         "precision": s.precision.value}
+        for s in specs
+    ]
+    assert len(cells) == 210
+    assert any(cell["model"] == "Heterogeneous Compute" for cell in cells)
+    with ServerThread(ServeConfig(window_s=0.001)) as thread:
+        status, _headers, doc = request(thread, "POST", "/v1/batch", {"cells": cells})
+        assert status == 200 and doc["count"] == 210
+        _status, _headers, text = request(thread, "GET", "/metrics")
+    parsed = parse_prometheus(text)
+    assert _metric_total(parsed, "repro_serve_engine_runs_total") == 0
+    assert _metric_total(parsed, "repro_serve_columnar_specs_total") == 210
+
+
+def test_hc_cells_fall_back_to_the_ladder_when_columnar_raises(monkeypatch):
+    """With the columnar call broken, HC cells are still answered, by
+    the scalar retry ladder, with the bits the columnar path prices."""
+    import repro.engine.study_vec as study_vec
+
+    cells = [
+        {**_cell("Heterogeneous Compute", platform, precision)}
+        for platform in ("apu", "dgpu", "v100")
+        for precision in ("single", "double")
+    ]
+    with ServerThread(ServeConfig(window_s=0.001)) as thread:
+        _status, _headers, expected = request(thread, "POST", "/v1/batch", {"cells": cells})
+
+    def boom(specs):
+        raise RuntimeError("injected columnar failure")
+
+    monkeypatch.setattr(study_vec, "price_specs", boom)
+    from repro.engine import memo
+
+    memo.RESULT_CACHE.clear()
+    with ServerThread(ServeConfig(window_s=0.001)) as thread:
+        status, _headers, doc = request(thread, "POST", "/v1/batch", {"cells": cells})
+        _status, _headers, text = request(thread, "GET", "/metrics")
+    assert status == 200
+    assert [r["seconds"] for r in doc["results"]] == [
+        r["seconds"] for r in expected["results"]
+    ]
+    parsed = parse_prometheus(text)
+    assert _metric_total(parsed, "repro_serve_engine_runs_total") == len(cells)
+    assert _metric_total(parsed, "repro_serve_columnar_specs_total") == 0

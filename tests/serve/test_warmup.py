@@ -121,3 +121,48 @@ def test_warm_report_summary_reads_like_a_boot_line():
     assert "18 priced" in summary
     assert "2 deferred" in summary
     assert "120 presets" in summary
+
+
+def test_warm_presets_never_runs_the_scalar_ladder(monkeypatch):
+    """Every bench preset, Heterogeneous Compute's included, is priced
+    columnar: warm-up without a store calls the retry ladder zero
+    times."""
+    from repro.serve import warmup
+
+    calls = []
+
+    def spy(spec, policy):
+        calls.append(spec.label)
+        raise AssertionError("scalar ladder reached")
+
+    monkeypatch.setattr(warmup, "run_with_retry", spy)
+    report = warm_presets(SingleFlightCache(), None, scales=("bench",))
+    assert calls == []
+    assert report.priced == report.total == len(preset_specs(("bench",)))
+
+
+def test_warm_pricing_falls_back_to_the_ladder_when_columnar_raises(monkeypatch):
+    """A broken columnar call leaves no HC preset cold: the retry
+    ladder prices them, to the bits the columnar path gives."""
+    import repro.engine.study_vec as study_vec
+    from repro.serve import warmup
+
+    specs = [
+        spec for spec in preset_specs(("bench",))
+        if spec.model == "Heterogeneous Compute"
+        and spec.app in ("read-benchmark", "XSBench")
+    ]
+    expected = {
+        spec.content_key(): result
+        for spec, result in zip(specs, study_vec.price_specs(specs))
+    }
+
+    def boom(specs):
+        raise RuntimeError("injected columnar failure")
+
+    monkeypatch.setattr(study_vec, "price_specs", boom)
+    priced = warmup._price(specs)
+    assert priced.keys() == expected.keys()
+    for key, result in priced.items():
+        assert result.seconds == expected[key].seconds
+        assert result.joules == expected[key].joules
